@@ -17,16 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import BudgetExceededError, InvalidInputError, require_int
 from .linalg import (
     ABS_TOL,
     SINGULARITY_RTOL,
     LogScaledMatrix,
     _singular_extremes,
     as_matrix,
-    co_norm,
-    op_norm,
-    spectral_radius,
+    walk,
     word_product,
 )
 from .switching import ConstructedLaw, ExplicitLaw, SwitchingLaw, Word
@@ -221,12 +219,11 @@ def find_witness(system: MatrixSystem, max_len: int = 12,
     word on each side is kept.  The budget counts matrix multiplications and
     aborts the scan with a resource error when exhausted.
     """
-    if int(max_len) != max_len or max_len < 1:
-        raise InvalidInputError("max_len must be a positive integer")
+    max_len = require_int(max_len, 1, "max_len must be a positive integer")
     counter = [0]
     found_contract: tuple[Word, float] | None = None
     found_expand: tuple[Word, float] | None = None
-    for length in range(1, int(max_len) + 1):
+    for length in range(1, max_len + 1):
         for tup, prod in _iter_products_of_length(system.generators, length, counter, budget):
             top, bottom = _singular_extremes(prod)
             if found_contract is None and top < 1.0 - tol:
@@ -250,7 +247,7 @@ def find_witness(system: MatrixSystem, max_len: int = 12,
         contracting=found_contract,
         expanding=found_expand,
         nodes=counter[0],
-        max_len=int(max_len),
+        max_len=max_len,
     )
 
 
@@ -314,8 +311,7 @@ def construct_chaotic_law(system: MatrixSystem, witness: WitnessPair, target_pre
     an invalid input.  k_max = 0 returns an empty-schedule certificate with
     the prefix as an explicit law.
     """
-    if int(k_max) != k_max or k_max < 0:
-        raise InvalidInputError("k_max must be a nonnegative integer")
+    k_max = require_int(k_max, 0, "k_max must be a nonnegative integer")
     if target_prefix.alphabet_size != system.alphabet_size:
         raise InvalidInputError("target prefix alphabet does not match the system")
     check = verify_witness(system, witness.contracting, witness.expanding)
@@ -357,11 +353,11 @@ def construct_chaotic_law(system: MatrixSystem, witness: WitnessPair, target_pre
                 spent=applications,
                 budget=budget,
             )
-        for sym in word:
-            state = state.left_multiply(system.generator(sym))
+        for state in walk(system.generators, word.symbols, state):
+            pass
         return state
 
-    for k in range(1, int(k_max) + 1):
+    for k in range(1, k_max + 1):
         low_target = -math.log(k) - margin
         high_target = math.log(k) + margin
         l_count = 0
@@ -417,13 +413,12 @@ def recheck_certificate(system: MatrixSystem, cert: ChaosCertificate) -> bool:
     product and confirms that at each recorded crossing time the op-norm or
     co-norm clears its threshold with the certificate's margin.
     """
-    law = certificate_law(cert)
-    prod = LogScaledMatrix.identity(system.dim)
+    if cert.prefix.alphabet_size != system.alphabet_size:
+        raise InvalidInputError("certificate alphabet does not match the system")
+    symbols = certificate_law(cert).sequence(cert.final_time)
     below = {t: k for k, t, _ in cert.crossings}
     above = {t: k for k, _, t in cert.crossings}
-    final = cert.final_time
-    for n in range(1, final + 1):
-        prod = prod.left_multiply(system.generator(law.symbol(n)))
+    for n, prod in enumerate(walk(system.generators, symbols), start=1):
         if n in below:
             k = below[n]
             if not prod.log_op_norm <= -math.log(k) - cert.margin:
@@ -463,8 +458,7 @@ def simulate(system: MatrixSystem, law: SwitchingLaw, x0, horizon: int,
     """Apply the law's generators to x0 for ``horizon`` steps in log scale."""
     if law.alphabet_size != system.alphabet_size:
         raise InvalidInputError("law alphabet does not match the system")
-    if int(horizon) != horizon or horizon < 0:
-        raise InvalidInputError("horizon must be a nonnegative integer")
+    horizon = require_int(horizon, 0, "horizon must be a nonnegative integer")
     if horizon > budget:
         raise BudgetExceededError(
             f"horizon {horizon} exceeds the step budget {budget}",
@@ -476,7 +470,6 @@ def simulate(system: MatrixSystem, law: SwitchingLaw, x0, horizon: int,
         raise InvalidInputError(f"x0 must be a vector of length {system.dim}")
     if not np.isfinite(x).all():
         raise InvalidInputError("x0 entries must be finite")
-    horizon = int(horizon)
     syms = np.asarray(law.sequence(horizon), dtype=int)
     units = np.zeros((horizon, system.dim))
     logs = np.full(horizon, float("-inf"))
@@ -532,20 +525,14 @@ def chaos_scan(system: MatrixSystem, law: SwitchingLaw, k_max: int, horizon: int
     """Walk the running product and record first crossings for k = 1..k_max."""
     if law.alphabet_size != system.alphabet_size:
         raise InvalidInputError("law alphabet does not match the system")
-    if int(k_max) != k_max or k_max < 1:
-        raise InvalidInputError("k_max must be a positive integer")
-    if int(horizon) != horizon or horizon < 1:
-        raise InvalidInputError("horizon must be a positive integer")
-    k_max, horizon = int(k_max), int(horizon)
+    k_max = require_int(k_max, 1, "k_max must be a positive integer")
+    horizon = require_int(horizon, 1, "horizon must be a positive integer")
     low_targets = [-math.log(k) - margin for k in range(1, k_max + 1)]
     high_targets = [math.log(k) + margin for k in range(1, k_max + 1)]
     below: list[int | None] = [None] * k_max
     above: list[int | None] = [None] * k_max
     pending = 2 * k_max
-    prod = LogScaledMatrix.identity(system.dim)
-    gens = system.generators
-    for n, sym in enumerate(law.sequence(horizon), start=1):
-        prod = prod.left_multiply(gens[sym - 1])
+    for n, prod in enumerate(walk(system.generators, law.sequence(horizon)), start=1):
         lo = prod.log_op_norm
         hi = prod.log_co_norm
         for k_idx in range(k_max):
@@ -583,8 +570,6 @@ def classify_periodic(system: MatrixSystem, word: Word) -> PeriodicVerdict:
         raise InvalidInputError("word alphabet does not match the system")
     if len(word) == 0:
         raise InvalidInputError("the periodic word must be nonempty")
-    prod = system.word_product(word)
-    log_radius = prod.log_scale + math.log(spectral_radius(prod.unit).radius)
-    radius = math.exp(log_radius)
+    radius = math.exp(system.word_product(word).log_spectral_radius)
     kind = CONTRACTING if radius < 1.0 - ABS_TOL else EXPANDING_OR_NEUTRAL
     return PeriodicVerdict(kind=kind, radius=radius, word=word)

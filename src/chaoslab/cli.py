@@ -5,17 +5,12 @@ one-line summary to stdout, and optionally writes a JSON report (--json)
 or CSV table (--csv).  Exit codes: 0 success, 2 invalid input, 3 a search
 budget ran out; in the budget case whatever partial results exist are
 still written before exiting.
-
-The CHAOSLAB_THREADS environment variable is read and recorded in every
-report for forward compatibility; all computations currently run on a
-single worker regardless of its value.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 
@@ -51,11 +46,6 @@ def _parse_vector(text: str) -> np.ndarray:
         )
 
 
-def _threads_note() -> dict:
-    requested = os.environ.get("CHAOSLAB_THREADS")
-    return {"requested": requested, "workers_used": 1}
-
-
 def _emit(args, command: str, parameters: dict, results: dict,
           digest: str | None, started: float) -> None:
     if getattr(args, "json", None):
@@ -85,7 +75,6 @@ def cmd_analyze(args) -> int:
         "kmax": args.kmax,
         "tol": args.tol,
         "budget": args.budget,
-        "threads": _threads_note(),
     }
     try:
         search = chaos.find_witness(
@@ -146,7 +135,6 @@ def cmd_construct(args) -> int:
         "j": j_word.text(),
         "prefix": prefix.text(),
         "kmax": args.kmax,
-        "threads": _threads_note(),
     }
     outcome = chaos.verify_witness(system, i_word, j_word)
     if isinstance(outcome, chaos.Refusal):
@@ -179,7 +167,6 @@ def cmd_simulate(args) -> int:
         "law": switching.law_to_spec(law),
         "x0": x0.tolist(),
         "horizon": args.horizon,
-        "threads": _threads_note(),
     }
     logs10 = traj.log10_magnitudes()
     if traj.zero_input:
@@ -220,7 +207,6 @@ def cmd_jsr(args) -> int:
     parameters = {
         "nodes": args.nodes,
         "gap": args.gap,
-        "threads": _threads_note(),
     }
     results = {
         "lower": bracket.lower,
@@ -249,7 +235,6 @@ def cmd_stability(args) -> int:
         "max_len": args.max_len,
         "tol": args.tol,
         "budget": args.budget,
-        "threads": _threads_note(),
     }
     results = {
         "stable": verdict.stable,
@@ -282,7 +267,6 @@ def cmd_growth(args) -> int:
         "nmax": args.nmax,
         "budget": args.budget,
         "probe": bool(args.probe),
-        "threads": _threads_note(),
     }
     if args.probe:
         report = stability.product_unbounded_probe(
@@ -342,7 +326,6 @@ def cmd_runs(args) -> int:
         "horizon": args.horizon,
         "max_run": args.max_run,
         "law": switching.law_to_spec(law),
-        "threads": _threads_note(),
     }
     results = {
         "run_verdict": evidence.verdict,
@@ -381,7 +364,6 @@ def cmd_lyapunov(args) -> int:
         "samples": args.samples,
         "horizon": args.horizon,
         "seed": args.seed,
-        "threads": _threads_note(),
     }
     results = {
         "value": estimate.value,

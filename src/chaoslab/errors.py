@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer argument check."""
 
 
 class InvalidInputError(ValueError):
@@ -24,3 +24,15 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message, residual=float("inf")):
         super().__init__(message)
         self.residual = residual
+
+
+def require_int(value, minimum, message: str) -> int:
+    """``value`` as an int; raises InvalidInputError(message) unless it is an
+    integer-valued number, not a bool, and at least ``minimum``."""
+    try:
+        ok = not isinstance(value, bool) and int(value) == value and value >= minimum
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise InvalidInputError(message)
+    return int(value)

@@ -2,10 +2,9 @@
 
 Everything downstream (witness search, certificates, stability scans) reduces
 to a handful of primitives on d x d arrays: the largest and smallest singular
-values, the spectral radius, symmetric eigenvalues, and products of long
-matrix words tracked in log scale so that growth like 2**(+-40) never
-overflows.  Matrices are plain float64 numpy arrays; all norms are Euclidean
-(spectral norm for operators).
+values, the spectral radius, and products of long matrix words tracked in
+log scale so that growth like 2**(+-40) never overflows.  Matrices are plain
+float64 numpy arrays; all norms are Euclidean (spectral norm for operators).
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ ABS_TOL = 1e-12
 
 # A matrix counts as singular when co_norm falls below this multiple of op_norm.
 SINGULARITY_RTOL = 1e-12
-
-# Dimension cap for the eigenvalue-based routines.
-MAX_EIG_DIM = 8
 
 # Renormalization band for LogScaledMatrix units.
 _BAND_LO = 0.5
@@ -57,14 +53,15 @@ def _singular_extremes(a: np.ndarray) -> tuple[float, float]:
         v = abs(float(a[0, 0]))
         return v, v
     if d == 2:
-        g11 = a[0, 0] * a[0, 0] + a[1, 0] * a[1, 0]
-        g22 = a[0, 1] * a[0, 1] + a[1, 1] * a[1, 1]
-        g12 = a[0, 0] * a[0, 1] + a[1, 0] * a[1, 1]
+        (a00, a01), (a10, a11) = a.tolist()
+        g11 = a00 * a00 + a10 * a10
+        g22 = a01 * a01 + a11 * a11
+        g12 = a00 * a01 + a10 * a11
         diff = g11 - g22
         disc = math.sqrt(max(diff * diff + 4.0 * g12 * g12, 0.0))
         lam_max = (g11 + g22 + disc) / 2.0
         smax = math.sqrt(max(lam_max, 0.0))
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        det = a00 * a11 - a01 * a10
         smin = abs(det) / smax if smax > 0.0 else 0.0
         return smax, min(smin, smax)
     s = np.linalg.svd(a, compute_uv=False)
@@ -106,7 +103,7 @@ class Spectrum:
 
 
 def spectral_radius(a) -> Spectrum:
-    """Maximum eigenvalue modulus of a real d x d matrix, d <= 8.
+    """Maximum eigenvalue modulus of a real d x d matrix.
 
     d = 1 and d = 2 use exact closed forms (for d = 2 the max root modulus
     of lambda^2 - tr lambda + det is (|tr| + sqrt(max(tr^2 - 4 det, 0))) / 2
@@ -115,10 +112,6 @@ def spectral_radius(a) -> Spectrum:
     """
     arr = as_matrix(a)
     d = arr.shape[0]
-    if d > MAX_EIG_DIM:
-        raise InvalidInputError(
-            f"spectral_radius supports dimension <= {MAX_EIG_DIM}, got {d}"
-        )
     if d == 1:
         return Spectrum(radius=abs(float(arr[0, 0])), roots_found=1, residual=0.0)
     if d == 2:
@@ -139,53 +132,6 @@ def spectral_radius(a) -> Spectrum:
     scale = max(1.0, float(np.linalg.norm(arr)))
     residual = float(np.linalg.norm(defect)) / scale
     return Spectrum(radius=float(np.max(np.abs(w))), roots_found=d, residual=residual)
-
-
-def sym_eigs(g) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, via cyclic Jacobi.
-
-    Two-sided Givens rotations zero one off-diagonal pair at a time; sweeps
-    repeat until the off-diagonal mass is at machine level.  Jacobi handles
-    repeated eigenvalues exactly (rotations are orthogonal), which is why it
-    backs the Gram-matrix cross-checks in the tests.
-    """
-    arr = as_matrix(g)
-    scale = max(1.0, float(np.max(np.abs(arr))))
-    if float(np.max(np.abs(arr - arr.T))) > 1e-12 * scale:
-        raise InvalidInputError("sym_eigs expects a symmetric matrix")
-    a = (arr + arr.T) / 2.0
-    d = a.shape[0]
-    if d == 1:
-        return np.array([float(a[0, 0])])
-    frob = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(60):
-        off = 0.0
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                off = max(off, abs(float(a[p, q])))
-        if off <= 1e-15 * frob:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = float(a[p, q])
-                if abs(apq) <= 1e-18 * frob:
-                    continue
-                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(d)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-    else:
-        raise NonConvergenceError("Jacobi sweeps did not converge", residual=off)
-    return np.sort(np.diag(a))
 
 
 @dataclass(frozen=True)
@@ -242,9 +188,28 @@ class LogScaledMatrix:
             return float("-inf")
         return self.log_scale + math.log(co)
 
+    @property
+    def log_spectral_radius(self) -> float:
+        """Log of the product's spectral radius; -inf when the radius is 0."""
+        rho = spectral_radius(self.unit).radius
+        return self.log_scale + math.log(rho) if rho > 0.0 else -math.inf
+
     def dense(self) -> np.ndarray:
         """Materialize the plain matrix; may overflow for extreme log_scale."""
         return math.exp(self.log_scale) * self.unit
+
+
+def walk(generators, symbols, start: LogScaledMatrix | None = None):
+    """Yield the running product S_{s_n} ... S_{s_1} start after each symbol.
+
+    ``generators`` are validated d x d arrays indexed by 1-based labels and
+    ``start`` defaults to the identity.  This is the one place a product is
+    carried along a symbol stream.
+    """
+    prod = LogScaledMatrix.identity(generators[0].shape[0]) if start is None else start
+    for sym in symbols:
+        prod = prod.left_multiply(generators[sym - 1])
+        yield prod
 
 
 def word_product(generators, word) -> LogScaledMatrix:
@@ -262,12 +227,13 @@ def word_product(generators, word) -> LogScaledMatrix:
     for g in gens:
         if g.shape[0] != d:
             raise InvalidInputError("generators must share one dimension")
-    prod = LogScaledMatrix.identity(d)
-    for sym in word:
-        label = int(sym)
+    labels = [int(sym) for sym in word]
+    for label in labels:
         if not 1 <= label <= len(gens):
             raise InvalidInputError(
                 f"word symbol {label} outside alphabet 1..{len(gens)}"
             )
-        prod = prod.left_multiply(gens[label - 1])
+    prod = LogScaledMatrix.identity(d)
+    for prod in walk(gens, labels, prod):
+        pass
     return prod

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .linalg import LogScaledMatrix, spectral_radius
+from .errors import InvalidInputError, require_int
+from .linalg import walk
 from .switching import SwitchingLaw, enumerate_necklaces
 
 CONSISTENT = "consistent-with-run-nonchaotic"
@@ -55,11 +55,8 @@ def run_evidence(law: SwitchingLaw, horizon: int, max_run: int) -> RunEvidence:
     begins after horizon // 2.  The verdict is consistent when some single
     symbol achieves every length up to max_run.
     """
-    if int(horizon) != horizon or horizon < 2:
-        raise InvalidInputError("horizon must be an integer >= 2")
-    if int(max_run) != max_run or max_run < 1:
-        raise InvalidInputError("max_run must be a positive integer")
-    horizon, max_run = int(horizon), int(max_run)
+    horizon = require_int(horizon, 2, "horizon must be an integer >= 2")
+    max_run = require_int(max_run, 1, "max_run must be a positive integer")
     seq = law.sequence(horizon)
     half = horizon // 2
     per_symbol: dict[int, dict[int, int]] = {
@@ -133,14 +130,11 @@ def decay_check(system, law: SwitchingLaw, horizon: int) -> DecayReport:
     """
     if law.alphabet_size != system.alphabet_size:
         raise InvalidInputError("law alphabet does not match the system")
-    if int(horizon) != horizon or horizon < 4:
-        raise InvalidInputError("horizon must be an integer >= 4")
-    horizon = int(horizon)
+    horizon = require_int(horizon, 4, "horizon must be an integer >= 4")
     warning = None
     for length in range(1, _QUICK_STABILITY_LEN + 1):
         for word in enumerate_necklaces(system.alphabet_size, length):
-            prod = system.word_product(word)
-            log_rho = prod.log_scale + math.log(spectral_radius(prod.unit).radius)
+            log_rho = system.word_product(word).log_spectral_radius
             if log_rho / length >= -1e-12:
                 warning = (
                     "system is not periodically stable up to word length "
@@ -151,11 +145,8 @@ def decay_check(system, law: SwitchingLaw, horizon: int) -> DecayReport:
         if warning:
             break
     logs = np.empty(horizon)
-    prod = LogScaledMatrix.identity(system.dim)
-    gens = system.generators
-    for n, sym in enumerate(law.sequence(horizon), start=1):
-        prod = prod.left_multiply(gens[sym - 1])
-        logs[n - 1] = prod.log_op_norm
+    for n, prod in enumerate(walk(system.generators, law.sequence(horizon))):
+        logs[n] = prod.log_op_norm
     quarter = horizon // 4
     head_min = float(np.min(logs[:quarter]))
     tail_max = float(np.max(logs[horizon - quarter:]))

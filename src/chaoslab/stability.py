@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import MatrixSystem
-from .errors import BudgetExceededError, InvalidInputError
-from .linalg import LogScaledMatrix, op_norm, spectral_radius
+from .errors import BudgetExceededError, InvalidInputError, require_int
+from .linalg import LogScaledMatrix, op_norm, walk
 from .switching import Word, enumerate_necklaces
 
 DEFAULT_STABILITY_TOL = 1e-9
@@ -35,9 +35,7 @@ _GEOMETRIC_DRIFT = 0.35
 def polynomial_growth_exponent(dim: int) -> int:
     """Largest possible polynomial degree of ||S_w|| growth when every
     periodic product of the system is contracting: floor(dim / 2) - 1."""
-    if int(dim) != dim or dim < 2:
-        raise InvalidInputError("dim must be an integer >= 2")
-    return int(dim) // 2 - 1
+    return require_int(dim, 2, "dim must be an integer >= 2") // 2 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +82,9 @@ def periodic_stability(
     caps the number of representatives examined; running out produces a
     truncated verdict covering the lengths that completed.
     """
-    if int(max_len) != max_len or max_len < 1:
-        raise InvalidInputError("max_len must be a positive integer")
+    max_len = require_int(max_len, 1, "max_len must be a positive integer")
     if not (0.0 <= tol < 1.0):
         raise InvalidInputError("tol must lie in [0, 1)")
-    max_len = int(max_len)
     worst_word: Word | None = None
     worst_radius = -math.inf
     first_unstable: int | None = None
@@ -103,9 +99,7 @@ def periodic_stability(
                 truncated = True
                 break
             spent += 1
-            prod = system.word_product(word)
-            log_rho = prod.log_scale + _safe_log(spectral_radius(prod.unit).radius)
-            normalized = math.exp(log_rho / length)
+            normalized = math.exp(system.word_product(word).log_spectral_radius / length)
             if normalized > worst_radius:
                 worst_radius = normalized
                 worst_word = word
@@ -127,10 +121,6 @@ def periodic_stability(
         tol=tol,
         truncated=truncated,
     )
-
-
-def _safe_log(x: float) -> float:
-    return math.log(x) if x > 0.0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +168,11 @@ def jsr_bracket(
     ``budget`` counts matrix products formed.  The gap is relative, so the
     bracket commutes with scaling the generators.
     """
-    if int(budget) != budget or budget < system.alphabet_size:
-        raise InvalidInputError("budget must cover at least one tree level")
+    budget = require_int(
+        budget, system.alphabet_size, "budget must cover at least one tree level"
+    )
     if not (target_gap > 0.0) or not math.isfinite(target_gap):
         raise InvalidInputError("target_gap must be a positive finite number")
-    budget = int(budget)
     gens = system.generators
     k = system.alphabet_size
     one_step = max(op_norm(g) for g in gens)
@@ -212,8 +202,7 @@ def jsr_bracket(
     while stack:
         symbols, prod, m = stack.pop()
         depth = max(depth, len(symbols))
-        log_rho = prod.log_scale + math.log(spectral_radius(prod.unit).radius)
-        rho = math.exp(log_rho / len(symbols))
+        rho = math.exp(prod.log_spectral_radius / len(symbols))
         if rho > lower or (
             rho == lower
             and witness is not None
@@ -249,6 +238,21 @@ def jsr_bracket(
 
 # ---------------------------------------------------------------------------
 # growth curves
+
+
+def _feasible_depth(k: int, depth: int, budget: int) -> int:
+    """Deepest level up to ``depth`` whose whole word tree, k + k^2 + ... + k^j
+    products, fits the budget; raises when not even level 1 does."""
+    total = 0
+    for j in range(1, depth + 1):
+        total += k**j
+        if total > budget:
+            if j == 1:
+                raise BudgetExceededError(
+                    "budget does not cover depth 1", spent=k, budget=budget
+                )
+            return j - 1
+    return depth
 
 
 @dataclass
@@ -314,24 +318,9 @@ def growth_curve(
     answer.  If the full tree (the pruning guarantee) exceeds ``budget``
     products, n_max is reduced upfront and the curve flagged truncated.
     """
-    if int(n_max) != n_max or n_max < 1:
-        raise InvalidInputError("n_max must be a positive integer")
-    n_max = int(n_max)
+    n_max = require_int(n_max, 1, "n_max must be a positive integer")
     k = system.alphabet_size
-    truncated = False
-    total = 0
-    feasible = 0
-    for j in range(1, n_max + 1):
-        total += k**j
-        if total > budget:
-            truncated = True
-            break
-        feasible = j
-    if feasible == 0:
-        raise BudgetExceededError(
-            "budget does not cover depth 1", spent=k, budget=budget
-        )
-    n_eff = feasible
+    n_eff = _feasible_depth(k, n_max, budget)
     gens = system.generators
     one_step = max(op_norm(g) for g in gens)
     best = [-math.inf] * (n_eff + 1)
@@ -366,7 +355,7 @@ def growth_curve(
         log_max_norms=np.log(np.array(best[1:])),
         argmax_words=words,
         n_max=n_eff,
-        truncated=truncated,
+        truncated=n_eff < n_max,
     )
 
 
@@ -442,9 +431,7 @@ def extremal_norm_estimate(
     informative on systems normalized so the joint spectral radius is close
     to 1; then the values approximate an extremal norm at the probes.
     """
-    if int(horizon) != horizon or horizon < 1:
-        raise InvalidInputError("horizon must be a positive integer")
-    horizon = int(horizon)
+    horizon = require_int(horizon, 1, "horizon must be a positive integer")
     probe_list = [np.asarray(p, dtype=float).reshape(-1) for p in probes]
     if not probe_list:
         raise InvalidInputError("at least one probe vector is required")
@@ -454,20 +441,7 @@ def extremal_norm_estimate(
         if not np.all(np.isfinite(p)):
             raise InvalidInputError("probe vectors must be finite")
     k = system.alphabet_size
-    truncated = False
-    total = 0
-    feasible = 0
-    for j in range(1, horizon + 1):
-        total += k**j
-        if total > budget:
-            truncated = True
-            break
-        feasible = j
-    h_eff = feasible
-    if h_eff == 0:
-        raise BudgetExceededError(
-            "budget does not cover depth 1", spent=k, budget=budget
-        )
+    h_eff = _feasible_depth(k, horizon, budget)
     pmat = np.column_stack(probe_list)  # dim x n_probes
     n_probes = pmat.shape[1]
     best = np.zeros((h_eff + 1, n_probes))
@@ -493,7 +467,7 @@ def extremal_norm_estimate(
         values=tuple(float(v) for v in final),
         stabilization=float(np.max(rel)),
         horizon=h_eff,
-        truncated=truncated,
+        truncated=h_eff < horizon,
     )
 
 
@@ -681,19 +655,14 @@ def lyapunov_mc(
     accumulates the product in log scale, and contributes
     log ||product|| / horizon.  Deterministic for a fixed seed.
     """
-    if int(samples) != samples or samples < 1:
-        raise InvalidInputError("samples must be a positive integer")
-    if int(horizon) != horizon or horizon < 1:
-        raise InvalidInputError("horizon must be a positive integer")
-    samples, horizon = int(samples), int(horizon)
+    samples = require_int(samples, 1, "samples must be a positive integer")
+    horizon = require_int(horizon, 1, "horizon must be a positive integer")
     rng = np.random.default_rng(seed)
-    gens = system.generators
     rates = np.empty(samples)
     for i in range(samples):
         draws = rng.integers(1, system.alphabet_size + 1, size=horizon)
-        prod = LogScaledMatrix.identity(system.dim)
-        for sym in draws:
-            prod = prod.left_multiply(gens[sym - 1])
+        for prod in walk(system.generators, draws):
+            pass
         rates[i] = prod.log_op_norm / horizon
     value = float(np.mean(rates))
     stderr = float(np.std(rates, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0

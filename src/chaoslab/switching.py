@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import abc
 import itertools
-import threading
-from bisect import bisect_left
+import math
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import BudgetExceededError, InvalidInputError, require_int
 
 # Node cap for exhaustive word enumeration.
 DEFAULT_ENUM_BUDGET = 1 << 22
@@ -25,8 +24,6 @@ DEFAULT_ENUM_BUDGET = 1 << 22
 # Truncation depth for the law metric; 2**-53 is below double resolution
 # relative to the leading term, so longer tails cannot change comparisons.
 DEFAULT_METRIC_PRECISION = 53
-
-_INFINITE_COUNT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -73,41 +70,76 @@ class Word:
 
 
 class SwitchingLaw(abc.ABC):
-    """An infinite sequence of generator labels, evaluated at times n >= 1."""
+    """An infinite sequence of generator labels, evaluated at times n >= 1.
+
+    Each law describes itself as a stream of ``(symbols, count)`` segments:
+    the nonempty tuple ``symbols`` repeated ``count`` times, where the last
+    segment a law yields has count ``math.inf``.
+    """
 
     @property
     @abc.abstractmethod
     def alphabet_size(self) -> int: ...
 
     @abc.abstractmethod
-    def _symbol_at(self, n: int) -> int:
-        """Symbol at validated time n >= 1."""
+    def _segments(self):
+        """Yield the law's (symbols, count) segments in time order."""
 
     def symbol(self, n: int) -> int:
-        if int(n) != n or n < 1:
-            raise InvalidInputError(f"law times are integers starting at 1, got {n!r}")
-        return self._symbol_at(int(n))
+        """Symbol at time n >= 1, found by skipping whole segments."""
+        n = require_int(n, 1, f"law times are integers starting at 1, got {n!r}")
+        for symbols, count in self._segments():
+            span = len(symbols) * count
+            if n <= span:
+                return symbols[(n - 1) % len(symbols)]
+            n -= span
 
     def shift(self, steps: int = 1) -> "SwitchingLaw":
         """The law with the first ``steps`` symbols dropped."""
-        if int(steps) != steps or steps < 0:
-            raise InvalidInputError("shift steps must be a nonnegative integer")
-        if steps == 0:
-            return self
-        return OffsetLaw(self, int(steps))
+        steps = require_int(steps, 0, "shift steps must be a nonnegative integer")
+        return _ShiftedLaw(self, steps) if steps else self
 
     def sequence(self, horizon: int) -> list[int]:
         """Symbols at times 1..horizon as a list."""
-        if int(horizon) != horizon or horizon < 0:
-            raise InvalidInputError("horizon must be a nonnegative integer")
-        return [self._symbol_at(n) for n in range(1, int(horizon) + 1)]
-
-    def prefix_word(self, length: int) -> Word:
-        return Word(tuple(self.sequence(length)), self.alphabet_size)
+        horizon = require_int(horizon, 0, "horizon must be a nonnegative integer")
+        out: list[int] = []
+        for symbols, count in self._segments():
+            need = horizon - len(out)
+            if need <= 0:
+                break
+            out.extend(symbols * min(count, -(-need // len(symbols))))
+        del out[horizon:]
+        return out
 
     def spec_dict(self) -> dict:
         """JSON-ready description; raises for laws with no file form."""
         raise InvalidInputError(f"{type(self).__name__} has no file representation")
+
+
+class _ShiftedLaw(SwitchingLaw):
+    """View of another law with the first ``offset`` symbols dropped."""
+
+    def __init__(self, base: SwitchingLaw, offset: int):
+        self._base = base
+        self._offset = offset
+
+    @property
+    def alphabet_size(self) -> int:
+        return self._base.alphabet_size
+
+    def _segments(self):
+        skip = self._offset
+        for symbols, count in self._base._segments():
+            if skip >= len(symbols) * count:
+                skip -= len(symbols) * count
+                continue
+            whole, part = divmod(skip, len(symbols))
+            skip = 0
+            if part:
+                yield symbols[part:], 1
+                whole += 1
+            if count > whole:
+                yield symbols, count - whole
 
 
 class PeriodicLaw(SwitchingLaw):
@@ -126,21 +158,13 @@ class PeriodicLaw(SwitchingLaw):
     def word(self) -> Word:
         return self._word
 
-    def _symbol_at(self, n: int) -> int:
-        return self._word[(n - 1) % len(self._word)]
-
-    def shift(self, steps: int = 1) -> "SwitchingLaw":
-        if int(steps) != steps or steps < 0:
-            raise InvalidInputError("shift steps must be a nonnegative integer")
-        k = int(steps) % len(self._word)
-        rotated = self._word.symbols[k:] + self._word.symbols[:k]
-        return PeriodicLaw(Word(rotated, self.alphabet_size))
+    def _segments(self):
+        yield self._word.symbols, math.inf
 
     def sequence(self, horizon: int) -> list[int]:
-        if int(horizon) != horizon or horizon < 0:
-            raise InvalidInputError("horizon must be a nonnegative integer")
-        reps = (int(horizon) + len(self._word) - 1) // len(self._word)
-        return list(self._word.symbols * reps)[: int(horizon)]
+        horizon = require_int(horizon, 0, "horizon must be a nonnegative integer")
+        reps = (horizon + len(self._word) - 1) // len(self._word)
+        return list(self._word.symbols * reps)[:horizon]
 
     def spec_dict(self) -> dict:
         return {
@@ -162,11 +186,10 @@ class ExplicitLaw(SwitchingLaw):
             if len(prefix) == 0:
                 raise InvalidInputError("an empty prefix needs an explicit fallback")
             fallback = prefix[-1]
-        fallback = int(fallback)
-        if not 1 <= fallback <= prefix.alphabet_size:
-            raise InvalidInputError(
-                f"fallback {fallback} outside alphabet 1..{prefix.alphabet_size}"
-            )
+        message = f"fallback {fallback!r} outside alphabet 1..{prefix.alphabet_size}"
+        fallback = require_int(fallback, 1, message)
+        if fallback > prefix.alphabet_size:
+            raise InvalidInputError(message)
         self._prefix = prefix
         self._fallback = fallback
 
@@ -182,25 +205,15 @@ class ExplicitLaw(SwitchingLaw):
     def fallback(self) -> int:
         return self._fallback
 
-    def _symbol_at(self, n: int) -> int:
-        if n <= len(self._prefix):
-            return self._prefix[n - 1]
-        return self._fallback
-
-    def shift(self, steps: int = 1) -> "SwitchingLaw":
-        if int(steps) != steps or steps < 0:
-            raise InvalidInputError("shift steps must be a nonnegative integer")
-        k = min(int(steps), len(self._prefix))
-        return ExplicitLaw(
-            Word(self._prefix.symbols[k:], self.alphabet_size), self._fallback
-        )
+    def _segments(self):
+        if len(self._prefix) > 0:
+            yield self._prefix.symbols, 1
+        yield (self._fallback,), math.inf
 
     def sequence(self, horizon: int) -> list[int]:
-        if int(horizon) != horizon or horizon < 0:
-            raise InvalidInputError("horizon must be a nonnegative integer")
-        h = int(horizon)
-        head = list(self._prefix.symbols[:h])
-        return head + [self._fallback] * (h - len(head))
+        horizon = require_int(horizon, 0, "horizon must be a nonnegative integer")
+        head = list(self._prefix.symbols[:horizon])
+        return head + [self._fallback] * (horizon - len(head))
 
     def spec_dict(self) -> dict:
         return {
@@ -211,33 +224,12 @@ class ExplicitLaw(SwitchingLaw):
         }
 
 
-class _SegmentTable:
-    """Lazily materialized cumulative index over (symbols, count) segments.
-
-    ``segment_fn(i)`` supplies the i-th segment (0-based) as a pair of a
-    nonempty symbol tuple and a repetition count; it must be deterministic.
-    Lookups extend the cumulative end positions under a lock, so concurrent
-    readers see a consistent, append-only table.
-    """
-
-    def __init__(self, segment_fn):
-        self._segment_fn = segment_fn
-        self._lock = threading.Lock()
-        self._ends: list[int] = []
-        self._segments: list[tuple[tuple[int, ...], int]] = []  # (symbols, start)
-
-    def symbol_at(self, n: int) -> int:
-        with self._lock:
-            while not self._ends or self._ends[-1] < n:
-                symbols, count = self._segment_fn(len(self._segments))
-                if len(symbols) == 0 or count < 1:
-                    raise InvalidInputError("segments must be nonempty")
-                start = self._ends[-1] if self._ends else 0
-                self._segments.append((symbols, start))
-                self._ends.append(start + len(symbols) * count)
-            idx = bisect_left(self._ends, n)
-            symbols, start = self._segments[idx]
-            return symbols[(n - start - 1) % len(symbols)]
+def _block(sym, length, alphabet_size: int, message: str) -> tuple[int, int]:
+    """A validated (symbol, length) block."""
+    sym = require_int(sym, 1, message)
+    if sym > alphabet_size:
+        raise InvalidInputError(message)
+    return sym, require_int(length, 1, message)
 
 
 class BlockLaw(SwitchingLaw):
@@ -251,34 +243,29 @@ class BlockLaw(SwitchingLaw):
     def __init__(self, blocks, alphabet_size: int, rule=None, rule_name: str | None = None):
         if alphabet_size < 1:
             raise InvalidInputError("alphabet size must be at least 1")
-        clean = []
-        for entry in blocks:
-            sym, length = entry
-            sym, length = int(sym), int(length)
-            if not 1 <= sym <= alphabet_size:
-                raise InvalidInputError(f"block symbol {sym} outside alphabet")
-            if length < 1:
-                raise InvalidInputError("block lengths must be at least 1")
-            clean.append((sym, length))
+        clean = tuple(
+            _block(sym, length, alphabet_size, f"invalid block ({sym!r}, {length!r}): "
+                   f"symbols lie in 1..{alphabet_size} and lengths are at least 1")
+            for sym, length in blocks
+        )
         if not clean and rule is None:
             raise InvalidInputError("a block law needs blocks or a generating rule")
-        self._blocks = tuple(clean)
+        self._blocks = clean
         self._rule = rule
         self._rule_name = rule_name
         self._alphabet = alphabet_size
-        self._table = _SegmentTable(self._segment)
 
-    def _segment(self, idx: int) -> tuple[tuple[int, ...], int]:
-        if idx < len(self._blocks):
-            sym, length = self._blocks[idx]
-            return (sym,), length
-        if self._rule is not None:
-            sym, length = self._rule(idx + 1)
-            sym, length = int(sym), int(length)
-            if not 1 <= sym <= self._alphabet or length < 1:
-                raise InvalidInputError(f"rule produced invalid block ({sym}, {length})")
-            return (sym,), length
-        return (self._blocks[-1][0],), _INFINITE_COUNT
+    def _segments(self):
+        for sym, length in self._blocks:
+            yield (sym,), length
+        if self._rule is None:
+            yield (self._blocks[-1][0],), math.inf
+            return
+        for m in itertools.count(len(self._blocks) + 1):
+            sym, length = self._rule(m)
+            sym, length = _block(sym, length, self._alphabet,
+                                 f"rule produced invalid block ({sym}, {length})")
+            yield (sym,), length
 
     @property
     def alphabet_size(self) -> int:
@@ -287,9 +274,6 @@ class BlockLaw(SwitchingLaw):
     @property
     def blocks(self) -> tuple[tuple[int, int], ...]:
         return self._blocks
-
-    def _symbol_at(self, n: int) -> int:
-        return self._table.symbol_at(n)
 
     def spec_dict(self) -> dict:
         if self._rule_name == "doubling":
@@ -334,34 +318,27 @@ class ConstructedLaw(SwitchingLaw):
             raise InvalidInputError("prefix and witness words must share one alphabet")
         if len(i_word) == 0 or len(j_word) == 0:
             raise InvalidInputError("witness words must be nonempty")
-        sched = tuple((int(l), int(L)) for l, L in schedule)
+        message = "exponents must be integers of at least 1"
+        sched = tuple((require_int(l, 1, message), require_int(L, 1, message))
+                      for l, L in schedule)
         if not sched:
             raise InvalidInputError(
                 "constructed laws need at least one exponent pair; "
                 "use an explicit law for an empty schedule"
             )
-        for l, L in sched:
-            if l < 1 or L < 1:
-                raise InvalidInputError("exponents must be at least 1")
         self._prefix = prefix
         self._i = i_word
         self._j = j_word
         self._schedule = sched
-        finite: list[tuple[tuple[int, ...], int]] = []
-        if len(prefix) > 0:
-            finite.append((prefix.symbols, 1))
-        for l, L in sched:
-            finite.append((i_word.symbols, l))
-            finite.append((j_word.symbols, L))
-        self._finite = finite
-        l_last, L_last = sched[-1]
-        self._tail = ((i_word.symbols, l_last), (j_word.symbols, L_last))
-        self._table = _SegmentTable(self._segment)
 
-    def _segment(self, idx: int) -> tuple[tuple[int, ...], int]:
-        if idx < len(self._finite):
-            return self._finite[idx]
-        return self._tail[(idx - len(self._finite)) % 2]
+    def _segments(self):
+        if len(self._prefix) > 0:
+            yield self._prefix.symbols, 1
+        for l, L in self._schedule:
+            yield self._i.symbols, l
+            yield self._j.symbols, L
+        l, L = self._schedule[-1]
+        yield self._i.symbols * l + self._j.symbols * L, math.inf
 
     @property
     def alphabet_size(self) -> int:
@@ -383,9 +360,6 @@ class ConstructedLaw(SwitchingLaw):
     def schedule(self) -> tuple[tuple[int, int], ...]:
         return self._schedule
 
-    def _symbol_at(self, n: int) -> int:
-        return self._table.symbol_at(n)
-
     def spec_dict(self) -> dict:
         return {
             "type": "constructed",
@@ -397,33 +371,6 @@ class ConstructedLaw(SwitchingLaw):
         }
 
 
-class OffsetLaw(SwitchingLaw):
-    """View of another law with the first ``offset`` symbols dropped."""
-
-    def __init__(self, base: SwitchingLaw, offset: int):
-        if offset < 1:
-            raise InvalidInputError("offset must be at least 1")
-        if isinstance(base, OffsetLaw):
-            offset += base._offset
-            base = base._base
-        self._base = base
-        self._offset = offset
-
-    @property
-    def alphabet_size(self) -> int:
-        return self._base.alphabet_size
-
-    def _symbol_at(self, n: int) -> int:
-        return self._base.symbol(n + self._offset)
-
-    def shift(self, steps: int = 1) -> "SwitchingLaw":
-        if int(steps) != steps or steps < 0:
-            raise InvalidInputError("shift steps must be a nonnegative integer")
-        if steps == 0:
-            return self
-        return OffsetLaw(self._base, self._offset + int(steps))
-
-
 def law_metric(a: SwitchingLaw, b: SwitchingLaw, precision: int = DEFAULT_METRIC_PRECISION) -> float:
     """Weighted disagreement sum_{n=1}^{precision} min(1, |a(n)-b(n)|) / 2^n.
 
@@ -432,22 +379,21 @@ def law_metric(a: SwitchingLaw, b: SwitchingLaw, precision: int = DEFAULT_METRIC
     """
     if a.alphabet_size != b.alphabet_size:
         raise InvalidInputError("laws must share one alphabet")
-    if int(precision) != precision or precision < 1:
-        raise InvalidInputError("precision must be a positive integer")
-    sa = a.sequence(int(precision))
-    sb = b.sequence(int(precision))
+    precision = require_int(precision, 1, "precision must be a positive integer")
+    sa = a.sequence(precision)
+    sb = b.sequence(precision)
     total = 0.0
-    for n in range(int(precision), 0, -1):
+    for n in range(precision, 0, -1):
         total += min(1.0, abs(sa[n - 1] - sb[n - 1])) * 2.0 ** (-n)
     return total
 
 
-def _check_enumeration_budget(alphabet_size: int, length: int, budget: int) -> None:
+def _check_enumeration_budget(alphabet_size: int, length: int, budget: int) -> int:
+    """The validated word length, once the K^length words fit the budget."""
     if alphabet_size < 1:
         raise InvalidInputError("alphabet size must be at least 1")
-    if int(length) != length or length < 0:
-        raise InvalidInputError("word length must be a nonnegative integer")
-    count = alphabet_size ** int(length)
+    length = require_int(length, 0, "word length must be a nonnegative integer")
+    count = alphabet_size ** length
     if count > budget:
         raise BudgetExceededError(
             f"{count} words of length {length} over {alphabet_size} symbols "
@@ -455,6 +401,7 @@ def _check_enumeration_budget(alphabet_size: int, length: int, budget: int) -> N
             spent=0,
             budget=budget,
         )
+    return length
 
 
 def enumerate_words(alphabet_size: int, length: int, budget: int = DEFAULT_ENUM_BUDGET):
@@ -462,10 +409,10 @@ def enumerate_words(alphabet_size: int, length: int, budget: int = DEFAULT_ENUM_
 
     The budget is checked before any word is produced.
     """
-    _check_enumeration_budget(alphabet_size, length, budget)
+    length = _check_enumeration_budget(alphabet_size, length, budget)
 
     def generate():
-        for tup in itertools.product(range(1, alphabet_size + 1), repeat=int(length)):
+        for tup in itertools.product(range(1, alphabet_size + 1), repeat=length):
             yield Word(tup, alphabet_size)
 
     return generate()
@@ -477,12 +424,11 @@ def enumerate_necklaces(alphabet_size: int, length: int, budget: int = DEFAULT_E
     A word is kept iff it is <= every rotation of itself, so exactly one
     word per necklace appears, in lexicographic order.
     """
-    _check_enumeration_budget(alphabet_size, length, budget)
+    length = _check_enumeration_budget(alphabet_size, length, budget)
 
     def generate():
-        n = int(length)
-        for tup in itertools.product(range(1, alphabet_size + 1), repeat=n):
-            if all(tup <= tup[i:] + tup[:i] for i in range(1, n)):
+        for tup in itertools.product(range(1, alphabet_size + 1), repeat=length):
+            if all(tup <= tup[i:] + tup[:i] for i in range(1, length)):
                 yield Word(tup, alphabet_size)
 
     return generate()
@@ -503,11 +449,9 @@ class RunProfile:
 
 def run_profile(law: SwitchingLaw, horizon: int, window_width: int) -> RunProfile:
     """Profile constant runs of ``law`` in windows of stride ``window_width``."""
-    if int(horizon) != horizon or int(window_width) != window_width:
-        raise InvalidInputError("horizon and window width must be integers")
-    horizon, window_width = int(horizon), int(window_width)
-    if not 1 <= window_width <= horizon:
-        raise InvalidInputError("need horizon >= window width >= 1")
+    message = "need integers horizon >= window width >= 1"
+    window_width = require_int(window_width, 1, message)
+    horizon = require_int(horizon, window_width, message)
     seq = law.sequence(horizon)
     profile = RunProfile(horizon=horizon, window_width=window_width)
     start = 1
@@ -560,28 +504,23 @@ def law_from_spec(spec: dict) -> SwitchingLaw:
             )
         return Word(tuple(raw), alphabet)
 
+    def pairs_field(name: str, shape: str) -> list:
+        raw = spec.get(name)
+        _require(isinstance(raw, list) and len(raw) > 0,
+                 f"law spec field '{name}' must be a nonempty list")
+        for entry in raw:
+            _require(isinstance(entry, list) and len(entry) == 2,
+                     f"law spec field '{name}' entries must be {shape} pairs")
+        return [tuple(entry) for entry in raw]
+
+    # The law constructors reject non-integer and bool numbers in the fields
+    # checked here only for shape: fallback, block entries and exponents.
     if kind == "periodic":
         return PeriodicLaw(word_field("word", allow_empty=False))
     if kind == "explicit":
-        prefix = word_field("prefix", allow_empty=True)
-        fallback = spec.get("fallback")
-        if fallback is not None:
-            _require(
-                isinstance(fallback, int) and 1 <= fallback <= alphabet,
-                f"law spec field 'fallback' must lie in 1..{alphabet}",
-            )
-        return ExplicitLaw(prefix, fallback)
+        return ExplicitLaw(word_field("prefix", allow_empty=True), spec.get("fallback"))
     if kind == "blocks":
-        raw = spec.get("blocks")
-        _require(isinstance(raw, list) and len(raw) > 0, "law spec field 'blocks' must be a nonempty list")
-        blocks = []
-        for entry in raw:
-            _require(
-                isinstance(entry, list) and len(entry) == 2,
-                "law spec field 'blocks' entries must be [symbol, length] pairs",
-            )
-            blocks.append((entry[0], entry[1]))
-        return BlockLaw(blocks, alphabet)
+        return BlockLaw(pairs_field("blocks", "[symbol, length]"), alphabet)
     if kind == "doubling":
         _require(alphabet == 2, "doubling laws use alphabet 2")
         return doubling_law()
@@ -589,17 +528,5 @@ def law_from_spec(spec: dict) -> SwitchingLaw:
         prefix = word_field("prefix", allow_empty=True)
         i_word = word_field("i", allow_empty=False)
         j_word = word_field("j", allow_empty=False)
-        raw = spec.get("schedule")
-        _require(
-            isinstance(raw, list) and len(raw) > 0,
-            "law spec field 'schedule' must be a nonempty list",
-        )
-        schedule = []
-        for entry in raw:
-            _require(
-                isinstance(entry, list) and len(entry) == 2,
-                "law spec field 'schedule' entries must be [l, L] pairs",
-            )
-            schedule.append((entry[0], entry[1]))
-        return ConstructedLaw(prefix, i_word, j_word, schedule)
+        return ConstructedLaw(prefix, i_word, j_word, pairs_field("schedule", "[l, L]"))
     raise InvalidInputError(f"unknown law type {kind!r}")

@@ -114,6 +114,12 @@ def test_find_witness_diag_pair(diag_pair):
     assert found.witness.expanding_conorm == pytest.approx(2.0, abs=1e-12)
 
 
+def test_witness_norms_are_plain_floats(diag_pair):
+    pair = find_witness(diag_pair, max_len=4).witness
+    assert type(pair.contracting_norm) is float
+    assert type(pair.expanding_conorm) is float
+
+
 def test_find_witness_needs_length_eleven():
     """The 0.8/1.3 shear pair has no short witnesses: the first contracting
     word is the eleventh power of the first letter and the first expanding
@@ -228,6 +234,14 @@ def test_recheck_detects_tampering(diag_pair):
         margin=cert.margin,
     )
     assert not recheck_certificate(diag_pair, bad)
+
+
+def test_recheck_rejects_foreign_alphabet(diag_pair):
+    three = MatrixSystem([np.eye(2), np.diag([0.5, 0.5]), np.diag([2.0, 2.0])])
+    pair = verify_witness(three, Word((2,), 3), Word((3,), 3))
+    cert, _ = construct_chaotic_law(three, pair, Word((), 3), 2)
+    with pytest.raises(InvalidInputError):
+        recheck_certificate(diag_pair, cert)
 
 
 def test_construct_density(diag_pair):

@@ -123,6 +123,30 @@ def test_load_law_error_names_file(tmp_path):
     assert "law.json" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "blocks", "alphabet": 2, "blocks": [[1, 2.5]]},  # length
+        {"type": "blocks", "alphabet": 2, "blocks": [["1", True]]},  # symbol
+        {"type": "blocks", "alphabet": 2, "blocks": [[True, 2]]},  # bool symbol
+        {"type": "constructed", "alphabet": 2, "prefix": [], "i": [1], "j": [2],
+         "schedule": [[1.9, 2.2]]},  # exponents
+        {"type": "constructed", "alphabet": 2, "prefix": [], "i": [1], "j": [2],
+         "schedule": [[1, True]]},  # bool exponent
+        {"type": "explicit", "alphabet": 2, "prefix": [1], "fallback": True},
+        {"type": "explicit", "alphabet": 2, "prefix": [1], "fallback": 1.5},
+    ],
+)
+def test_law_file_rejects_non_integer_numbers(spec, diag_file, tmp_path, capsys):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(InvalidInputError):
+        load_law(str(path))
+    rc = main(["simulate", "--system", diag_file, "--law", str(path), "--horizon", "5"])
+    assert rc == 2
+    assert "law.json" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # writers and reports
 
@@ -295,15 +319,6 @@ def test_cli_report_reproducible(shear_file, tmp_path):
     a.pop("timings")
     b.pop("timings")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
-def test_cli_threads_env_recorded(diag_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("CHAOSLAB_THREADS", "8")
-    report = str(tmp_path / "r.json")
-    assert main(["stability", "--system", diag_file, "--max-len", "2",
-                 "--json", report]) == 0
-    data = json.load(open(report))
-    assert data["parameters"]["threads"] == {"requested": "8", "workers_used": 1}
 
 
 def test_cli_version(capsys):

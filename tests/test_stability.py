@@ -7,8 +7,11 @@ from chaoslab import (
     BudgetExceededError,
     InvalidInputError,
     MatrixSystem,
+    PeriodicLaw,
     Word,
     build_shear_block_system,
+    classify_periodic,
+    decay_check,
     extremal_norm_estimate,
     growth_curve,
     growth_verdict,
@@ -392,3 +395,37 @@ def test_lyapunov_validation(diag_pair):
         lyapunov_mc(diag_pair, samples=0)
     with pytest.raises(InvalidInputError):
         lyapunov_mc(diag_pair, horizon=0)
+
+
+# ---------------------------------------------------------------------------
+# any dimension
+
+
+def test_analyses_accept_any_dimension():
+    """A d=10 system runs through every spectral analysis, radii per numpy."""
+    rng = np.random.default_rng(41)
+    gens = [random_invertible(rng, 10) for _ in range(2)]
+    gens = [0.5 * g / max(abs(np.linalg.eigvals(g))) for g in gens]
+    system = MatrixSystem(gens)
+
+    def normalized(symbols):
+        prod = np.eye(10)
+        for sym in symbols:
+            prod = gens[sym - 1] @ prod
+        return max(abs(np.linalg.eigvals(prod))) ** (1.0 / len(symbols))
+
+    verdict = periodic_stability(system, 3)
+    assert verdict.worst_radius == pytest.approx(
+        normalized(verdict.worst_word.symbols), rel=1e-9
+    )
+    bracket = jsr_bracket(system, budget=200)
+    assert bracket.lower == pytest.approx(
+        normalized(bracket.lower_witness.symbols), rel=1e-9
+    )
+    word = Word((1, 2, 2), 2)
+    assert classify_periodic(system, word).radius == pytest.approx(
+        normalized(word.symbols) ** 3, rel=1e-9
+    )
+    report = decay_check(system, PeriodicLaw(word), horizon=40)
+    assert report.warning is None
+    assert report.log_norms.shape == (40,)

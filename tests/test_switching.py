@@ -1,9 +1,10 @@
 import json
 import math
-import threading
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoslab import (
     BlockLaw,
@@ -155,23 +156,47 @@ def test_constructed_law_validation():
         ConstructedLaw(Word((), 2), Word((1,), 2), Word((2,), 2), [(0, 1)])
 
 
-def test_segment_table_is_thread_safe():
-    """Concurrent random access agrees with a sequential baseline."""
-    baseline = doubling_law().sequence(3000)
-    law = doubling_law()  # fresh lazy table
-    errors = []
+words = st.lists(st.integers(1, 3), min_size=1, max_size=4)
 
-    def worker(start):
-        for n in range(start, 3000, 7):
-            if law.symbol(n + 1) != baseline[n]:
-                errors.append(n)
 
-    threads = [threading.Thread(target=worker, args=(s,)) for s in range(7)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert errors == []
+@st.composite
+def laws(draw):
+    """Every law type: periodic, explicit, blocks, doubling and constructed."""
+    kind = draw(st.sampled_from(["periodic", "explicit", "blocks", "doubling", "constructed"]))
+    if kind == "periodic":
+        return PeriodicLaw(Word(tuple(draw(words)), 3))
+    if kind == "explicit":
+        prefix = draw(st.lists(st.integers(1, 3), max_size=6))
+        return ExplicitLaw(Word(tuple(prefix), 3), fallback=draw(st.integers(1, 3)))
+    if kind == "blocks":
+        blocks = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 5)),
+                               min_size=1, max_size=5))
+        return BlockLaw(blocks, alphabet_size=3)
+    if kind == "doubling":
+        return doubling_law()
+    schedule = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                             min_size=1, max_size=4))
+    prefix = draw(st.lists(st.integers(1, 3), max_size=3))
+    return ConstructedLaw(Word(tuple(prefix), 3), Word(tuple(draw(words)), 3),
+                          Word(tuple(draw(words)), 3), schedule)
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=laws(), horizon=st.integers(0, 120), steps=st.integers(0, 50))
+def test_segment_laws_sequence_symbol_and_shift_agree(law, horizon, steps):
+    seq = law.sequence(horizon)
+    assert seq == [law.symbol(n) for n in range(1, horizon + 1)]
+    assert law.shift(steps).sequence(horizon) == law.sequence(horizon + steps)[steps:]
+
+
+def test_constructed_law_far_symbol_by_super_block_arithmetic():
+    i_word, j_word = Word((1, 2), 3), Word((3,), 3)
+    law = ConstructedLaw(Word((2, 2, 2), 3), i_word, j_word, [(2, 3), (4, 5)])
+    finite = 3 + 2 * 2 + 3 + 4 * 2 + 5
+    block = (1, 2) * 4 + (3,) * 5
+    n = 10**12
+    assert law.symbol(n) == block[(n - finite - 1) % len(block)]
+    assert law.shift(n - 1).symbol(1) == law.symbol(n)
 
 
 # ---------------------------------------------------------------------------
