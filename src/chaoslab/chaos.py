@@ -11,7 +11,6 @@ be re-verified independently.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from .linalg import (
     as_matrix,
     walk,
     word_product,
+    word_tree,
 )
 from .switching import ConstructedLaw, ExplicitLaw, SwitchingLaw, Word
 
@@ -180,58 +180,34 @@ class WitnessSearch:
     max_len: int
 
 
-def _iter_products_of_length(gens, length: int, counter: list[int], budget: int):
-    """Yield (symbols, product) for every word of one length, lexicographically.
-
-    Products are reused across the shared prefix of consecutive words, so the
-    cost is amortized O(1) matrix multiplications per word.  ``counter[0]``
-    counts multiplications and trips the budget.
-    """
-    k = len(gens)
-    dim = gens[0].shape[0]
-    partial = [np.eye(dim)]
-    prev: tuple[int, ...] | None = None
-    for tup in itertools.product(range(1, k + 1), repeat=length):
-        common = 0
-        if prev is not None:
-            while common < length and tup[common] == prev[common]:
-                common += 1
-        del partial[common + 1 :]
-        for depth in range(common, length):
-            counter[0] += 1
-            if counter[0] > budget:
-                raise BudgetExceededError(
-                    "witness scan exceeded its node budget",
-                    spent=counter[0],
-                    budget=budget,
-                )
-            partial.append(gens[tup[depth] - 1] @ partial[depth])
-        yield tup, partial[length]
-        prev = tup
-
-
 def find_witness(system: MatrixSystem, max_len: int = 12,
                  budget: int = DEFAULT_SEARCH_BUDGET, tol: float = ABS_TOL) -> WitnessSearch:
     """Scan words by increasing length for a contracting / expanding pair.
 
     Norms are not invariant under cyclic rotation, so the scan enumerates
-    every word of each length in lexicographic order; the first qualifying
-    word on each side is kept.  The budget counts matrix multiplications and
-    aborts the scan with a resource error when exhausted.
+    every word of each length in lexicographic order, walking the word tree
+    afresh for each length; the first qualifying word on each side is kept.
+    The budget counts matrix multiplications and aborts the scan with a
+    resource error when exhausted.
     """
     max_len = require_int(max_len, 1, "max_len must be a positive integer")
-    counter = [0]
+    budget = require_int(budget, 0, "budget must be a nonnegative integer")
+    scan = ((length, symbols, prod) for length in range(1, max_len + 1)
+            for symbols, prod in word_tree(system.generators, length, np.eye(system.dim)))
     found_contract: tuple[Word, float] | None = None
     found_expand: tuple[Word, float] | None = None
-    for length in range(1, max_len + 1):
-        for tup, prod in _iter_products_of_length(system.generators, length, counter, budget):
-            top, bottom = _singular_extremes(prod)
-            if found_contract is None and top < 1.0 - tol:
-                found_contract = (system.word(tup), top)
-            if found_expand is None and bottom > 1.0 + tol:
-                found_expand = (system.word(tup), bottom)
-            if found_contract is not None and found_expand is not None:
-                break
+    for nodes, (length, symbols, prod) in enumerate(scan, start=1):
+        if nodes > budget:
+            raise BudgetExceededError(
+                "witness scan exceeded its node budget", spent=nodes, budget=budget
+            )
+        if len(symbols) < length:
+            continue
+        top, bottom = _singular_extremes(prod)
+        if found_contract is None and top < 1.0 - tol:
+            found_contract = (system.word(symbols), top)
+        if found_expand is None and bottom > 1.0 + tol:
+            found_expand = (system.word(symbols), bottom)
         if found_contract is not None and found_expand is not None:
             break
     witness = None
@@ -246,7 +222,7 @@ def find_witness(system: MatrixSystem, max_len: int = 12,
         witness=witness,
         contracting=found_contract,
         expanding=found_expand,
-        nodes=counter[0],
+        nodes=nodes,
         max_len=max_len,
     )
 

@@ -212,6 +212,36 @@ def walk(generators, symbols, start: LogScaledMatrix | None = None):
         yield prod
 
 
+def word_tree(generators, depth: int, start, descend=None):
+    """Yield (symbols, product) for every word of length 1..depth.
+
+    Words come depth first in lexicographic order, each before its
+    extensions.  A word's product is formed from its parent's with one
+    multiplication when the word is reached: ``parent.left_multiply(g)`` for
+    a LogScaledMatrix ``start``, ``g @ parent`` for an array.  Once the
+    consumer has handled a word shorter than ``depth``, its extensions are
+    walked unless ``descend(symbols, product)`` is false.  Every
+    lexicographic word-tree search in the package runs on this walk.
+    """
+    if depth < 1:
+        return
+    scaled = isinstance(start, LogScaledMatrix)
+    # One frame per word being extended: its symbols, its product and the
+    # generators not yet tried after it.
+    frames = [((), start, enumerate(generators, start=1))]
+    while frames:
+        prefix, parent, untried = frames[-1]
+        for sym, g in untried:
+            symbols = prefix + (sym,)
+            prod = parent.left_multiply(g) if scaled else g @ parent
+            yield symbols, prod
+            if len(symbols) < depth and (descend is None or descend(symbols, prod)):
+                frames.append((symbols, prod, enumerate(generators, start=1)))
+                break
+        else:
+            frames.pop()
+
+
 def word_product(generators, word) -> LogScaledMatrix:
     """Log-scaled product of generators along a word of 1-based labels.
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import InvalidInputError, require_int
 from .linalg import walk
-from .switching import SwitchingLaw, enumerate_necklaces
+from .stability import necklace_log_radii
+from .switching import SwitchingLaw
 
 CONSISTENT = "consistent-with-run-nonchaotic"
 INCONSISTENT = "inconsistent-up-to-horizon"
@@ -132,17 +133,13 @@ def decay_check(system, law: SwitchingLaw, horizon: int) -> DecayReport:
         raise InvalidInputError("law alphabet does not match the system")
     horizon = require_int(horizon, 4, "horizon must be an integer >= 4")
     warning = None
-    for length in range(1, _QUICK_STABILITY_LEN + 1):
-        for word in enumerate_necklaces(system.alphabet_size, length):
-            log_rho = system.word_product(word).log_spectral_radius
-            if log_rho / length >= -1e-12:
-                warning = (
-                    "system is not periodically stable up to word length "
-                    f"{_QUICK_STABILITY_LEN} (word {word.symbols} has normalized "
-                    f"radius {math.exp(log_rho / length):.6f}); decay is not expected"
-                )
-                break
-        if warning:
+    for symbols, log_radius in necklace_log_radii(system, _QUICK_STABILITY_LEN):
+        if log_radius >= -1e-12:
+            warning = (
+                "system is not periodically stable up to word length "
+                f"{_QUICK_STABILITY_LEN} (word {symbols} has normalized "
+                f"radius {math.exp(log_radius):.6f}); decay is not expected"
+            )
             break
     logs = np.empty(horizon)
     for n, prod in enumerate(walk(system.generators, law.sequence(horizon))):

@@ -14,8 +14,8 @@ import numpy as np
 
 from .chaos import MatrixSystem
 from .errors import BudgetExceededError, InvalidInputError, require_int
-from .linalg import LogScaledMatrix, op_norm, walk
-from .switching import Word, enumerate_necklaces
+from .linalg import LogScaledMatrix, op_norm, walk, word_tree
+from .switching import Word, _prenecklace_period
 
 DEFAULT_STABILITY_TOL = 1e-9
 DEFAULT_JSR_BUDGET = 10**6
@@ -69,6 +69,25 @@ class StabilityVerdict:
         )
 
 
+def necklace_log_radii(system: MatrixSystem, max_len: int):
+    """Yield (symbols, log rho(S_w) / |w|) for every necklace w up to max_len.
+
+    Necklaces, the least words of their rotation classes, come by length and
+    then lexicographically.  Each length is one word-tree walk from the
+    identity that descends only from prenecklaces (the body computes each
+    word's FKM period before ``descend`` reads it), so products are shared
+    across common prefixes and equal ``word_product`` bit for bit.
+    """
+    max_len = require_int(max_len, 1, "max_len must be a positive integer")
+    identity = LogScaledMatrix.identity(system.dim)
+    for length in range(1, max_len + 1):
+        for symbols, prod in word_tree(system.generators, length, identity,
+                                       lambda symbols, prod: period):
+            period = _prenecklace_period(symbols)
+            if len(symbols) == length and period and length % period == 0:
+                yield symbols, prod.log_spectral_radius / length
+
+
 def periodic_stability(
     system: MatrixSystem,
     max_len: int,
@@ -83,31 +102,24 @@ def periodic_stability(
     truncated verdict covering the lengths that completed.
     """
     max_len = require_int(max_len, 1, "max_len must be a positive integer")
+    budget = require_int(budget, 0, "budget must be a nonnegative integer")
     if not (0.0 <= tol < 1.0):
         raise InvalidInputError("tol must lie in [0, 1)")
     worst_word: Word | None = None
     worst_radius = -math.inf
     first_unstable: int | None = None
-    checked = 0
-    spent = 0
-    truncated = False
-    for length in range(1, max_len + 1):
-        length_done = True
-        for word in enumerate_necklaces(system.alphabet_size, length):
-            if spent >= budget:
-                length_done = False
-                truncated = True
-                break
-            spent += 1
-            normalized = math.exp(system.word_product(word).log_spectral_radius / length)
-            if normalized > worst_radius:
-                worst_radius = normalized
-                worst_word = word
-            if normalized >= 1.0 - tol and first_unstable is None:
-                first_unstable = length
-        if not length_done:
+    checked = max_len
+    for spent, (symbols, log_radius) in enumerate(necklace_log_radii(system, max_len)):
+        length = len(symbols)
+        if spent >= budget:
+            checked = length - 1
             break
-        checked = length
+        normalized = math.exp(log_radius)
+        if normalized > worst_radius:
+            worst_radius = normalized
+            worst_word = system.word(symbols)
+        if normalized >= 1.0 - tol and first_unstable is None:
+            first_unstable = length
     if first_unstable is not None and first_unstable <= checked:
         stable_up_to = first_unstable - 1
     else:
@@ -119,7 +131,7 @@ def periodic_stability(
         worst_word=worst_word,
         worst_radius=worst_radius if worst_word is not None else math.nan,
         tol=tol,
-        truncated=truncated,
+        truncated=checked < max_len,
     )
 
 
@@ -243,6 +255,7 @@ def jsr_bracket(
 def _feasible_depth(k: int, depth: int, budget: int) -> int:
     """Deepest level up to ``depth`` whose whole word tree, k + k^2 + ... + k^j
     products, fits the budget; raises when not even level 1 does."""
+    budget = require_int(budget, 0, "budget must be a nonnegative integer")
     total = 0
     for j in range(1, depth + 1):
         total += k**j
@@ -325,20 +338,15 @@ def growth_curve(
     one_step = max(op_norm(g) for g in gens)
     best = [-math.inf] * (n_eff + 1)
     argmax: list[tuple[int, ...] | None] = [None] * (n_eff + 1)
-    # Iterative DFS in lexicographic order so first strict improvements give
-    # lexicographically smallest argmax words.
-    stack: list[tuple[tuple[int, ...], np.ndarray]] = [
-        ((sym,), gens[sym - 1].copy()) for sym in range(k, 0, -1)
-    ]
-    while stack:
-        symbols, prod = stack.pop()
+    # Lexicographic depth-first order makes first strict improvements the
+    # smallest argmax words; descend reuses the body's reachability test.
+    for symbols, prod in word_tree(gens, n_eff, np.eye(system.dim),
+                                   lambda symbols, prod: reachable):
         j = len(symbols)
         v = op_norm(prod)
         if v > best[j]:
             best[j] = v
             argmax[j] = symbols
-        if j == n_eff:
-            continue
         reachable = False
         bound = v
         for r in range(j + 1, n_eff + 1):
@@ -346,10 +354,6 @@ def growth_curve(
             if bound > best[r]:
                 reachable = True
                 break
-        if not reachable:
-            continue
-        for sym in range(k, 0, -1):
-            stack.append((symbols + (sym,), gens[sym - 1] @ prod))
     words = tuple(Word(argmax[j], alphabet_size=k) for j in range(1, n_eff + 1))
     return GrowthCurve(
         log_max_norms=np.log(np.array(best[1:])),
@@ -446,17 +450,9 @@ def extremal_norm_estimate(
     n_probes = pmat.shape[1]
     best = np.zeros((h_eff + 1, n_probes))
     best[0] = np.linalg.norm(pmat, axis=0)
-    gens = system.generators
-    stack: list[tuple[int, np.ndarray]] = [
-        (1, gens[sym - 1] @ pmat) for sym in range(k, 0, -1)
-    ]
-    while stack:
-        depth, images = stack.pop()
+    for symbols, images in word_tree(system.generators, h_eff, pmat):
+        depth = len(symbols)
         np.maximum(best[depth], np.linalg.norm(images, axis=0), out=best[depth])
-        if depth == h_eff:
-            continue
-        for sym in range(k, 0, -1):
-            stack.append((depth + 1, gens[sym - 1] @ images))
     cumulative = np.maximum.accumulate(best, axis=0)
     final = cumulative[h_eff]
     previous = cumulative[h_eff - 1] if h_eff >= 1 else final
@@ -677,6 +673,7 @@ def lyapunov_mc(
 
 __all__ = [
     "StabilityVerdict",
+    "necklace_log_radii",
     "periodic_stability",
     "JsrBracket",
     "jsr_bracket",

@@ -5,8 +5,8 @@ functions; the finite descriptions below (periodic words, block schedules,
 constructed alternating schedules, explicit prefixes) all extend to infinity
 by a documented convention so that evaluation never runs off the end.
 
-Also provided: finite words, the weighted-disagreement metric on laws,
-lexicographic word and necklace enumeration, and run-length profiling.
+Also provided: finite words, the weighted-disagreement metric on laws, the
+necklace test behind the stability sweep, and run-length profiling.
 """
 
 from __future__ import annotations
@@ -16,10 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError, InvalidInputError, require_int
-
-# Node cap for exhaustive word enumeration.
-DEFAULT_ENUM_BUDGET = 1 << 22
+from .errors import InvalidInputError, require_int
 
 # Truncation depth for the law metric; 2**-53 is below double resolution
 # relative to the leading term, so longer tails cannot change comparisons.
@@ -36,10 +33,11 @@ class Word:
     def __post_init__(self):
         if self.alphabet_size < 1:
             raise InvalidInputError("alphabet size must be at least 1")
-        syms = tuple(int(s) for s in self.symbols)
+        message = f"word symbols must be integers in 1..{self.alphabet_size}"
+        syms = tuple(require_int(s, 1, message) for s in self.symbols)
         object.__setattr__(self, "symbols", syms)
         for s in syms:
-            if not 1 <= s <= self.alphabet_size:
+            if s > self.alphabet_size:
                 raise InvalidInputError(
                     f"symbol {s} outside alphabet 1..{self.alphabet_size}"
                 )
@@ -388,50 +386,21 @@ def law_metric(a: SwitchingLaw, b: SwitchingLaw, precision: int = DEFAULT_METRIC
     return total
 
 
-def _check_enumeration_budget(alphabet_size: int, length: int, budget: int) -> int:
-    """The validated word length, once the K^length words fit the budget."""
-    if alphabet_size < 1:
-        raise InvalidInputError("alphabet size must be at least 1")
-    length = require_int(length, 0, "word length must be a nonnegative integer")
-    count = alphabet_size ** length
-    if count > budget:
-        raise BudgetExceededError(
-            f"{count} words of length {length} over {alphabet_size} symbols "
-            f"exceed the budget of {budget}",
-            spent=0,
-            budget=budget,
-        )
-    return length
+def _prenecklace_period(symbols) -> int:
+    """FKM period of a word: the length of its longest Lyndon prefix, or 0
+    when the word is no prenecklace, that is, no prefix of any necklace.
 
-
-def enumerate_words(alphabet_size: int, length: int, budget: int = DEFAULT_ENUM_BUDGET):
-    """All words of the given length in lexicographic order.
-
-    The budget is checked before any word is produced.
+    A word of length n is a necklace (the least of its rotations) exactly
+    when its period is nonzero and divides n (Fredricksen-Kessler-Maiorana).
     """
-    length = _check_enumeration_budget(alphabet_size, length, budget)
-
-    def generate():
-        for tup in itertools.product(range(1, alphabet_size + 1), repeat=length):
-            yield Word(tup, alphabet_size)
-
-    return generate()
-
-
-def enumerate_necklaces(alphabet_size: int, length: int, budget: int = DEFAULT_ENUM_BUDGET):
-    """Lexicographically minimal representatives of cyclic word classes.
-
-    A word is kept iff it is <= every rotation of itself, so exactly one
-    word per necklace appears, in lexicographic order.
-    """
-    length = _check_enumeration_budget(alphabet_size, length, budget)
-
-    def generate():
-        for tup in itertools.product(range(1, alphabet_size + 1), repeat=length):
-            if all(tup <= tup[i:] + tup[:i] for i in range(1, length)):
-                yield Word(tup, alphabet_size)
-
-    return generate()
+    period = 1
+    for t in range(1, len(symbols)):
+        earlier = symbols[t - period]
+        if symbols[t] < earlier:
+            return 0
+        if symbols[t] > earlier:
+            period = t + 1
+    return period
 
 
 @dataclass

@@ -147,6 +147,29 @@ def test_find_witness_budget_exhaustion():
     assert err.value.spent > err.value.budget
 
 
+def test_find_witness_budget_trips_on_the_next_product():
+    system = MatrixSystem([0.99 * np.eye(2), 0.98 * np.eye(2)])
+    with pytest.raises(BudgetExceededError) as err:
+        find_witness(system, max_len=10, budget=100)
+    assert err.value.spent == 101
+    assert err.value.budget == 100
+
+
+@pytest.mark.parametrize("k, max_len", [(2, 5), (3, 4)])
+def test_find_witness_counts_every_prefix_product(k, max_len):
+    # No word expands, so the scan walks every length's tree in full.
+    system = MatrixSystem([(0.99 - 0.01 * i) * np.eye(2) for i in range(k)])
+    search = find_witness(system, max_len=max_len)
+    assert search.witness is None
+    assert search.nodes == sum((k ** (n + 1) - k) // (k - 1) for n in range(1, max_len + 1))
+
+
+@pytest.mark.parametrize("budget", [None, 2.5, True, -1])
+def test_find_witness_budget_is_validated(budget):
+    with pytest.raises(InvalidInputError):
+        find_witness(shear_pair(0.8, 1.3), max_len=3, budget=budget)
+
+
 # ---------------------------------------------------------------------------
 # law construction
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from chaoslab import (
     op_norm,
     spectral_radius,
     word_product,
+    word_tree,
 )
 
 from conftest import GOLDEN, random_invertible
@@ -247,3 +249,76 @@ def test_word_product_long_alternation():
     gens = [np.diag([0.5, 0.5]), np.diag([2.0, 2.0])]
     prod = word_product(gens, (1, 2) * 500)
     assert prod.log_op_norm == pytest.approx(0.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# word tree
+
+
+def _all_words(k, depth):
+    return [w for n in range(1, depth + 1) for w in itertools.product(range(1, k + 1), repeat=n)]
+
+
+def test_word_tree_order_k3_depth3():
+    gens = [np.eye(2)] * 3
+    got = [symbols for symbols, _ in word_tree(gens, 3, np.eye(2))]
+    # Tuple order puts every word before its extensions and siblings lexicographically.
+    assert got == sorted(_all_words(3, 3))
+    assert got[:5] == [(1,), (1, 1), (1, 1, 1), (1, 1, 2), (1, 1, 3)]
+    assert len(got) == 3 + 9 + 27
+
+
+def test_word_tree_false_descend_skips_only_that_subtree():
+    gens = [np.eye(2)] * 3
+    got = [
+        symbols
+        for symbols, _ in word_tree(gens, 4, np.eye(2), lambda symbols, prod: symbols != (1, 2))
+    ]
+    want = [w for w in sorted(_all_words(3, 4)) if not (w[:2] == (1, 2) and len(w) > 2)]
+    assert got == want
+
+
+def test_word_tree_descend_runs_after_the_loop_body():
+    events = []
+
+    def descend(symbols, prod):
+        events.append(("descend", symbols))
+        return True
+
+    for symbols, _ in word_tree([np.eye(1)] * 2, 2, np.eye(1), descend):
+        events.append(("body", symbols))
+    assert events == [
+        ("body", (1,)), ("descend", (1,)), ("body", (1, 1)), ("body", (1, 2)),
+        ("body", (2,)), ("descend", (2,)), ("body", (2, 1)), ("body", (2, 2)),
+    ]
+
+
+def test_word_tree_depth_zero_yields_nothing():
+    assert list(word_tree([np.eye(2)], 0, np.eye(2))) == []
+
+
+def test_word_tree_log_scaled_start_matches_word_product_bitwise():
+    rng = np.random.default_rng(3)
+    # Norms far from 1 force renormalization at most steps.
+    gens = [3.0 * rng.normal(size=(2, 2)), 0.2 * rng.normal(size=(2, 2)), rng.normal(size=(2, 2))]
+    for symbols, prod in word_tree(gens, 5, LogScaledMatrix.identity(2)):
+        want = word_product(gens, symbols)
+        assert prod.unit.tobytes() == want.unit.tobytes()
+        assert prod.log_scale == want.log_scale
+
+
+def test_word_tree_array_start_matches_chained_products():
+    rng = np.random.default_rng(4)
+    gens = [rng.normal(size=(3, 3)) for _ in range(2)]
+    start = rng.normal(size=(3, 2))
+    for symbols, prod in word_tree(gens, 6, start):
+        want = start
+        for sym in symbols:
+            want = gens[sym - 1] @ want
+        assert prod.tobytes() == want.tobytes()
+
+
+def test_word_tree_walks_deep_single_letter_trees():
+    words = list(word_tree([np.array([[1.0]])], 3000, np.eye(1)))
+    assert len(words) == 3000
+    assert words[-1][0] == (1,) * 3000

@@ -18,6 +18,7 @@ from chaoslab import (
     irreducibility,
     jsr_bracket,
     lyapunov_mc,
+    necklace_log_radii,
     periodic_stability,
     polynomial_growth_exponent,
     product_unbounded_probe,
@@ -60,6 +61,45 @@ def test_stability_budget_truncation(shear06):
     assert verdict.truncated
     assert verdict.checked_up_to < 10
     assert not verdict.stable
+
+
+@pytest.mark.parametrize("budget, want", [
+    (1, (0, 0, "1")),
+    (2, (1, 1, "1")),
+    (5, (2, 2, "1-2")),
+    (10, (3, 3, "1-2")),
+    (100, (8, 8, "1-2")),
+])
+def test_stability_budget_truncation_points(budget, want):
+    verdict = periodic_stability(shear_pair(0.6, 0.6), 10, budget=budget)
+    assert verdict.truncated
+    assert (verdict.checked_up_to, verdict.stable_up_to, verdict.worst_word.text()) == want
+
+
+@pytest.mark.parametrize("budget", [None, 2.5, True, -1])
+def test_tree_search_budgets_are_validated(shear06, budget):
+    with pytest.raises(InvalidInputError):
+        periodic_stability(shear06, 3, budget=budget)
+    with pytest.raises(InvalidInputError):
+        growth_curve(shear06, 3, budget=budget)
+    with pytest.raises(InvalidInputError):
+        extremal_norm_estimate(shear06, [np.ones(2)], 3, budget=budget)
+
+
+def test_stability_zero_budget_checks_nothing(shear06):
+    verdict = periodic_stability(shear06, 3, budget=0)
+    assert verdict.truncated
+    assert verdict.checked_up_to == 0
+    assert verdict.worst_word is None
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_necklace_log_radii_match_word_product(k):
+    rng = np.random.default_rng(k)
+    system = MatrixSystem([random_invertible(rng, 2) for _ in range(k)])
+    # The words themselves are checked against brute force in test_switching.
+    for symbols, value in necklace_log_radii(system, 8):
+        assert value == word_product(system.generators, symbols).log_spectral_radius / len(symbols)
 
 
 def test_stability_validation(shear06):

@@ -1,7 +1,9 @@
+import itertools
 import json
 import math
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,15 +13,14 @@ from chaoslab import (
     ConstructedLaw,
     ExplicitLaw,
     InvalidInputError,
-    BudgetExceededError,
+    MatrixSystem,
     PeriodicLaw,
     Word,
     doubling_law,
-    enumerate_necklaces,
-    enumerate_words,
     law_from_spec,
     law_metric,
     law_to_spec,
+    necklace_log_radii,
     run_profile,
 )
 
@@ -50,6 +51,27 @@ def test_word_validation():
         Word((1,), 0)
     with pytest.raises(InvalidInputError):
         Word((1,), 2) + Word((1,), 3)
+
+
+def test_word_rejects_fractional_symbols():
+    with pytest.raises(InvalidInputError):
+        Word((1.5, 2.9), 2)
+
+
+def test_word_rejects_string_symbols():
+    with pytest.raises(InvalidInputError):
+        Word(("2",), 2)
+
+
+def test_word_rejects_bool_symbols():
+    with pytest.raises(InvalidInputError):
+        Word((True,), 2)
+
+
+def test_word_accepts_integer_valued_numbers():
+    w = Word((np.int64(2), 1.0, np.float64(2.0)), 2)
+    assert w.symbols == (2, 1, 2)
+    assert all(type(s) is int for s in w.symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -253,26 +275,27 @@ def test_law_metric_alphabet_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# necklaces
 
 
-def test_enumerate_words_lex_order():
-    words = list(enumerate_words(2, 3))
-    assert len(words) == 8
-    assert words[0].symbols == (1, 1, 1)
-    assert words[-1].symbols == (2, 2, 2)
-    assert [w.symbols for w in words[:3]] == [(1, 1, 1), (1, 1, 2), (1, 2, 1)]
+def _necklaces(k, max_len):
+    """Necklace words up to max_len over k symbols, from the stability sweep."""
+    system = MatrixSystem([[[0.5 + 0.1 * s]] for s in range(k)])
+    return [symbols for symbols, _ in necklace_log_radii(system, max_len)]
 
 
-def test_enumerate_words_budget_raises_before_iteration():
-    with pytest.raises(BudgetExceededError):
-        enumerate_words(2, 23)  # 2^23 exceeds the default budget
+def _rotation_minimal(k, n):
+    """Brute force: every word of length n that is the least of its rotations."""
+    return [
+        tup for tup in itertools.product(range(1, k + 1), repeat=n)
+        if all(tup <= tup[i:] + tup[:i] for i in range(1, n))
+    ]
 
 
 def test_necklace_counts_binary():
+    words = _necklaces(2, len(BINARY_NECKLACES))
     for length, want in enumerate(BINARY_NECKLACES, start=1):
-        got = sum(1 for _ in enumerate_necklaces(2, length))
-        assert got == want
+        assert sum(1 for w in words if len(w) == length) == want
 
 
 def _euler_phi(n):
@@ -286,29 +309,29 @@ def _euler_phi(n):
 def test_necklace_counts_match_divisor_sum():
     # (1/n) * sum over divisors e of phi(e) * K^(n/e)
     for k in (2, 3):
+        words = _necklaces(k, 8)
         for n in range(1, 9):
             total = sum(
                 _euler_phi(e) * k ** (n // e) for e in range(1, n + 1) if n % e == 0
             )
             want = total // n
-            got = sum(1 for _ in enumerate_necklaces(k, n))
-            assert got == want
+            assert sum(1 for w in words if len(w) == n) == want
 
 
 def test_necklace_representatives_are_rotation_minimal():
-    for word in enumerate_necklaces(2, 6):
-        tup = word.symbols
-        rotations = [tup[i:] + tup[:i] for i in range(len(tup))]
-        assert tup == min(rotations)
+    # the same words in the same order as a brute-force rotation filter
+    for k in (2, 3):
+        want = [tup for n in range(1, 9) for tup in _rotation_minimal(k, n)]
+        assert _necklaces(k, 8) == want
 
 
 def test_necklaces_cover_all_words_up_to_rotation():
     reps = set()
-    for word in enumerate_necklaces(2, 5):
-        tup = word.symbols
-        for i in range(5):
-            reps.add(tup[i:] + tup[:i])
-    assert reps == {w.symbols for w in enumerate_words(2, 5)}
+    for tup in _necklaces(2, 5):
+        if len(tup) == 5:
+            for i in range(5):
+                reps.add(tup[i:] + tup[:i])
+    assert reps == set(itertools.product((1, 2), repeat=5))
 
 
 # ---------------------------------------------------------------------------
