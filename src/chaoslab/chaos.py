@@ -24,7 +24,6 @@ from .linalg import (
     _singular_extremes,
     as_matrix,
     walk,
-    word_product,
     word_tree,
 )
 from .switching import ConstructedLaw, ExplicitLaw, SwitchingLaw, Word
@@ -82,15 +81,21 @@ class MatrixSystem:
         return self._generators
 
     def generator(self, label: int) -> np.ndarray:
-        if not 1 <= label <= len(self._generators):
-            raise InvalidInputError(
-                f"label {label} outside alphabet 1..{len(self._generators)}"
-            )
+        (label,) = self.word((label,)).symbols
         return self._generators[label - 1]
 
     def word_product(self, word) -> LogScaledMatrix:
-        """Log-scaled product along a word (rightmost factor first in time)."""
-        return word_product(self._generators, word)
+        """Log-scaled product along a word of labels.
+
+        The rightmost factor corresponds to the first symbol, matching the
+        convention that the symbol applied at time 1 acts on the state first:
+        word (w1, ..., wn) yields S_{wn} ... S_{w1}.  The empty word gives the
+        identity with log_scale 0.
+        """
+        prod = LogScaledMatrix.identity(self._dim)
+        for prod in walk(self._generators, self.word(word).symbols, prod):
+            pass
+        return prod
 
     def word(self, symbols) -> Word:
         return Word(tuple(symbols), self.alphabet_size)
@@ -294,23 +299,6 @@ def construct_chaotic_law(system: MatrixSystem, witness: WitnessPair, target_pre
     if isinstance(check, Refusal):
         raise InvalidInputError(f"stale witness: {check.message}")
 
-    if k_max == 0:
-        cert = ChaosCertificate(
-            prefix=target_prefix,
-            i_word=witness.contracting,
-            j_word=witness.expanding,
-            schedule=(),
-            crossings=(),
-            block_log_norms=(),
-            ordering_violations=(),
-            margin=margin,
-        )
-        if len(target_prefix) > 0:
-            law: SwitchingLaw = ExplicitLaw(target_prefix)
-        else:
-            law = ExplicitLaw(target_prefix, fallback=1)
-        return cert, law
-
     i_word, j_word = witness.contracting, witness.expanding
     running = system.word_product(target_prefix)
     position = len(target_prefix)
@@ -369,8 +357,7 @@ def construct_chaotic_law(system: MatrixSystem, witness: WitnessPair, target_pre
         ordering_violations=tuple(violations),
         margin=margin,
     )
-    law = ConstructedLaw(target_prefix, i_word, j_word, schedule)
-    return cert, law
+    return cert, certificate_law(cert)
 
 
 def certificate_law(cert: ChaosCertificate) -> SwitchingLaw:

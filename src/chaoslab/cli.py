@@ -1,10 +1,11 @@
 """Command line interface.
 
-Each subcommand loads its inputs, runs one library entry point, prints a
-one-line summary to stdout, and optionally writes a JSON report (--json)
-or CSV table (--csv).  Exit codes: 0 success, 2 invalid input, 3 a search
-budget ran out; in the budget case whatever partial results exist are
-still written before exiting.
+``main`` loads a subcommand's system and law files, calls its handler, and
+writes the JSON report (--json) once the handler returns.  Each handler runs
+one library entry point, prints a one-line summary, and optionally writes a
+law (--out) or CSV table (--csv).  Exit codes: 0 success, 2 invalid input,
+3 a search budget ran out; in the budget case whatever partial results exist
+are still written before exiting.
 """
 
 from __future__ import annotations
@@ -46,60 +47,51 @@ def _parse_vector(text: str) -> np.ndarray:
         )
 
 
-def _emit(args, command: str, parameters: dict, results: dict,
-          digest: str | None, started: float) -> None:
-    if getattr(args, "json", None):
-        report = specfiles.build_report(
-            command=command,
-            parameters=parameters,
-            results=results,
-            system_digest=digest,
-            timings={"seconds": round(time.perf_counter() - started, 6)},
-        )
-        specfiles.write_json(args.json, report)
-
-
 def _word_text(word: switching.Word | None) -> str | None:
     return word.text() if word is not None else None
 
 
+# Parsed names that are not report parameters: the subcommand itself and
+# the input and output paths.
+_NOT_PARAMETERS = frozenset({"command", "func", "system", "law", "json", "out", "csv"})
+
+
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each handler takes the parsed arguments, the loaded system and law (None
+# when not given) and the report parameters, prints its summary line, writes
+# any law or CSV file, and returns (exit code, report results).
 
 
-def cmd_analyze(args) -> int:
-    started = time.perf_counter()
-    system, digest = specfiles.load_system(args.system)
-    parameters = {
-        "word_len": args.word_len,
-        "kmax": args.kmax,
-        "tol": args.tol,
-        "budget": args.budget,
-    }
+def cmd_analyze(args, system, law, parameters):
     try:
         search = chaos.find_witness(
             system, max_len=args.word_len, budget=args.budget, tol=args.tol
         )
     except BudgetExceededError as exc:
-        results = {"verdict": "budget-exhausted", "products_formed": exc.spent}
-        _emit(args, "analyze", parameters, results, digest, started)
         print(f"budget exhausted after {exc.spent} products; no verdict", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_BUDGET, {"verdict": "budget-exhausted", "products_formed": exc.spent}
     if search.witness is None:
-        results = {
+        print(f"verdict: no witness pair up to length {args.word_len}")
+        return EXIT_OK, {
             "verdict": f"no-witness-up-to-length-{args.word_len}",
             "contracting_word": _word_text(search.contracting[0]) if search.contracting else None,
             "expanding_word": _word_text(search.expanding[0]) if search.expanding else None,
             "products_formed": search.nodes,
         }
-        _emit(args, "analyze", parameters, results, digest, started)
-        print(f"verdict: no witness pair up to length {args.word_len}")
-        return EXIT_OK
     pair = search.witness
     cert, law = chaos.construct_chaotic_law(
         system, pair, switching.Word((), system.alphabet_size), args.kmax
     )
-    results = {
+    if args.out:
+        specfiles.save_law(law, args.out)
+    print(
+        "verdict: chaotic-law-constructed "
+        f"(contracting {pair.contracting.text()}, expanding {pair.expanding.text()}, "
+        f"k up to {cert.k_max} by time {cert.final_time})"
+    )
+    return EXIT_OK, {
         "verdict": "chaotic-law-constructed",
         "contracting_word": pair.contracting.text(),
         "contracting_norm": pair.contracting_norm,
@@ -109,20 +101,9 @@ def cmd_analyze(args) -> int:
         "certificate": cert.to_dict(),
         "law": switching.law_to_spec(law),
     }
-    _emit(args, "analyze", parameters, results, digest, started)
-    if args.out:
-        specfiles.save_law(law, args.out)
-    print(
-        "verdict: chaotic-law-constructed "
-        f"(contracting {pair.contracting.text()}, expanding {pair.expanding.text()}, "
-        f"k up to {cert.k_max} by time {cert.final_time})"
-    )
-    return EXIT_OK
 
 
-def cmd_construct(args) -> int:
-    started = time.perf_counter()
-    system, digest = specfiles.load_system(args.system)
+def cmd_construct(args, system, law, parameters):
     i_word = _parse_word(args.i, system.alphabet_size, "--i")
     j_word = _parse_word(args.j, system.alphabet_size, "--j")
     prefix = (
@@ -130,18 +111,11 @@ def cmd_construct(args) -> int:
         if args.prefix
         else switching.Word((), system.alphabet_size)
     )
-    parameters = {
-        "i": i_word.text(),
-        "j": j_word.text(),
-        "prefix": prefix.text(),
-        "kmax": args.kmax,
-    }
+    parameters.update(i=i_word.text(), j=j_word.text(), prefix=prefix.text())
     outcome = chaos.verify_witness(system, i_word, j_word)
     if isinstance(outcome, chaos.Refusal):
-        results = {"verdict": "refused", "reason": outcome.message}
-        _emit(args, "construct", parameters, results, digest, started)
         print(f"refused: {outcome.message}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_INVALID, {"verdict": "refused", "reason": outcome.message}
     cert, law = chaos.construct_chaotic_law(system, outcome, prefix, args.kmax)
     results = {
         "verdict": "constructed",
@@ -149,25 +123,17 @@ def cmd_construct(args) -> int:
         "law": switching.law_to_spec(law),
         "recheck_passed": chaos.recheck_certificate(system, cert),
     }
-    _emit(args, "construct", parameters, results, digest, started)
     if args.out:
         specfiles.save_law(law, args.out)
     schedule = ", ".join(f"{l}/{L}" for l, L in cert.schedule)
     print(f"constructed law with exponents l/L: {schedule} (final time {cert.final_time})")
-    return EXIT_OK
+    return EXIT_OK, results
 
 
-def cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    system, digest = specfiles.load_system(args.system)
-    law = specfiles.load_law(args.law)
+def cmd_simulate(args, system, law, parameters):
     x0 = _parse_vector(args.x0) if args.x0 else np.eye(system.dim)[0]
     traj = chaos.simulate(system, law, x0, args.horizon)
-    parameters = {
-        "law": switching.law_to_spec(law),
-        "x0": x0.tolist(),
-        "horizon": args.horizon,
-    }
+    parameters["x0"] = x0.tolist()
     logs10 = traj.log10_magnitudes()
     if traj.zero_input:
         summary = {"zero_input": True}
@@ -178,7 +144,6 @@ def cmd_simulate(args) -> int:
             "min_log10_magnitude": float(np.min(logs10)) if traj.horizon else 0.0,
             "max_log10_magnitude": float(np.max(logs10)) if traj.horizon else 0.0,
         }
-    _emit(args, "simulate", parameters, {"summary": summary}, digest, started)
     if args.csv:
         header = ["n", "symbol", "log10_magnitude"] + [
             f"u{i}" for i in range(1, system.dim + 1)
@@ -197,18 +162,17 @@ def cmd_simulate(args) -> int:
             f"min {summary['min_log10_magnitude']:.4f}, "
             f"max {summary['max_log10_magnitude']:.4f}"
         )
-    return EXIT_OK
+    return EXIT_OK, {"summary": summary}
 
 
-def cmd_jsr(args) -> int:
-    started = time.perf_counter()
-    system, digest = specfiles.load_system(args.system)
+def cmd_jsr(args, system, law, parameters):
     bracket = stability.jsr_bracket(system, budget=args.nodes, target_gap=args.gap)
-    parameters = {
-        "nodes": args.nodes,
-        "gap": args.gap,
-    }
-    results = {
+    state = "converged" if bracket.converged else "budget exhausted"
+    print(
+        f"jsr in [{bracket.lower:.9f}, {bracket.upper:.9f}] "
+        f"after {bracket.nodes} products ({state})"
+    )
+    return EXIT_OK if bracket.converged else EXIT_BUDGET, {
         "lower": bracket.lower,
         "upper": bracket.upper,
         "lower_witness": _word_text(bracket.lower_witness),
@@ -216,35 +180,12 @@ def cmd_jsr(args) -> int:
         "depth_reached": bracket.depth_reached,
         "converged": bracket.converged,
     }
-    _emit(args, "jsr", parameters, results, digest, started)
-    state = "converged" if bracket.converged else "budget exhausted"
-    print(
-        f"jsr in [{bracket.lower:.9f}, {bracket.upper:.9f}] "
-        f"after {bracket.nodes} products ({state})"
-    )
-    return EXIT_OK if bracket.converged else EXIT_BUDGET
 
 
-def cmd_stability(args) -> int:
-    started = time.perf_counter()
-    system, digest = specfiles.load_system(args.system)
+def cmd_stability(args, system, law, parameters):
     verdict = stability.periodic_stability(
         system, max_len=args.max_len, tol=args.tol, budget=args.budget
     )
-    parameters = {
-        "max_len": args.max_len,
-        "tol": args.tol,
-        "budget": args.budget,
-    }
-    results = {
-        "stable": verdict.stable,
-        "checked_up_to": verdict.checked_up_to,
-        "stable_up_to": verdict.stable_up_to,
-        "worst_word": _word_text(verdict.worst_word),
-        "worst_radius": verdict.worst_radius,
-        "truncated": verdict.truncated,
-    }
-    _emit(args, "stability", parameters, results, digest, started)
     worst = _word_text(verdict.worst_word)
     if verdict.stable:
         print(
@@ -257,17 +198,17 @@ def cmd_stability(args) -> int:
             f"checked {verdict.checked_up_to}, worst {verdict.worst_radius:.9f} "
             f"at word {worst}" + (" [truncated]" if verdict.truncated else "")
         )
-    return EXIT_BUDGET if verdict.truncated else EXIT_OK
-
-
-def cmd_growth(args) -> int:
-    started = time.perf_counter()
-    system, digest = specfiles.load_system(args.system)
-    parameters = {
-        "nmax": args.nmax,
-        "budget": args.budget,
-        "probe": bool(args.probe),
+    return EXIT_BUDGET if verdict.truncated else EXIT_OK, {
+        "stable": verdict.stable,
+        "checked_up_to": verdict.checked_up_to,
+        "stable_up_to": verdict.stable_up_to,
+        "worst_word": worst,
+        "worst_radius": verdict.worst_radius,
+        "truncated": verdict.truncated,
     }
+
+
+def cmd_growth(args, system, law, parameters):
     if args.probe:
         report = stability.product_unbounded_probe(
             system, n_max=args.nmax, budget=args.budget
@@ -296,7 +237,6 @@ def cmd_growth(args) -> int:
             }
             for r in report.restrictions
         ]
-    _emit(args, "growth", parameters, results, digest, started)
     if args.csv:
         rows = (
             [n + 1, curve.log_max_norms[n] / LOG10, curve.argmax_words[n].text()]
@@ -315,68 +255,46 @@ def cmd_growth(args) -> int:
         for r in report.restrictions:
             line += f"; axis {r.axis} subspace dim {r.subspace_dim}: {r.verdict}"
     print(line + (" [truncated]" if curve.truncated else ""))
-    return EXIT_BUDGET if curve.truncated else EXIT_OK
+    return EXIT_BUDGET if curve.truncated else EXIT_OK, results
 
 
-def cmd_runs(args) -> int:
-    started = time.perf_counter()
-    law = specfiles.load_law(args.law)
+def cmd_runs(args, system, law, parameters):
     evidence = runs.run_evidence(law, horizon=args.horizon, max_run=args.max_run)
-    parameters = {
-        "horizon": args.horizon,
-        "max_run": args.max_run,
-        "law": switching.law_to_spec(law),
-    }
     results = {
         "run_verdict": evidence.verdict,
         "run_symbol": evidence.symbol,
         "run_thresholds": [list(t) for t in evidence.thresholds],
     }
-    digest = None
-    decay = None
-    if args.system:
-        system, digest = specfiles.load_system(args.system)
+    line = f"runs: {evidence.verdict}"
+    if evidence.symbol is not None:
+        line += f" (symbol {evidence.symbol} has runs up to {evidence.max_run})"
+    if system is not None:
         decay = runs.decay_check(system, law, horizon=args.horizon)
         results["decay_verdict"] = decay.verdict
         results["head_min_log_norm"] = decay.head_min
         results["tail_max_log_norm"] = decay.tail_max
-        if decay.warning:
-            results["warning"] = decay.warning
-    _emit(args, "runs", parameters, results, digest, started)
-    line = f"runs: {evidence.verdict}"
-    if evidence.symbol is not None:
-        line += f" (symbol {evidence.symbol} has runs up to {evidence.max_run})"
-    if decay is not None:
         line += f"; decay: {decay.verdict}"
         if decay.warning:
+            results["warning"] = decay.warning
             line += " [stability warning]"
     print(line)
-    return EXIT_OK
+    return EXIT_OK, results
 
 
-def cmd_lyapunov(args) -> int:
-    started = time.perf_counter()
-    system, digest = specfiles.load_system(args.system)
+def cmd_lyapunov(args, system, law, parameters):
     estimate = stability.lyapunov_mc(
         system, samples=args.samples, horizon=args.horizon, seed=args.seed
     )
-    parameters = {
-        "samples": args.samples,
-        "horizon": args.horizon,
-        "seed": args.seed,
-    }
-    results = {
-        "value": estimate.value,
-        "stderr": estimate.stderr,
-        "measure": estimate.measure,
-    }
-    _emit(args, "lyapunov", parameters, results, digest, started)
     print(
         f"lyapunov estimate {estimate.value:.6f} +/- {estimate.stderr:.6f} "
         f"({estimate.samples} samples, horizon {estimate.horizon}, "
         f"measure {estimate.measure})"
     )
-    return EXIT_OK
+    return EXIT_OK, {
+        "value": estimate.value,
+        "stderr": estimate.stderr,
+        "measure": estimate.measure,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -472,16 +390,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: load its system and law, call its handler, and
+    write the JSON report when --json is given."""
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        system, digest = specfiles.load_system(args.system) if args.system else (None, None)
+        law = specfiles.load_law(args.law) if getattr(args, "law", None) else None
+        parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+        if law is not None:
+            parameters["law"] = switching.law_to_spec(law)
+        code, results = args.func(args, system, law, parameters)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    if args.json:
+        report = specfiles.build_report(
+            command=args.command,
+            parameters=parameters,
+            results=results,
+            system_digest=digest,
+            timings={"seconds": round(time.perf_counter() - started, 6)},
+        )
+        specfiles.write_json(args.json, report)
+    return code
 
 
 if __name__ == "__main__":

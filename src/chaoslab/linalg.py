@@ -241,29 +241,3 @@ def word_tree(generators, depth: int, start, descend=None):
         else:
             frames.pop()
 
-
-def word_product(generators, word) -> LogScaledMatrix:
-    """Log-scaled product of generators along a word of 1-based labels.
-
-    The rightmost factor corresponds to the first symbol, matching the
-    convention that the symbol applied at time 1 acts on the state first:
-    word (w1, ..., wn) yields S_{wn} ... S_{w1}.  The empty word gives the
-    identity with log_scale 0.
-    """
-    gens = [as_matrix(g) for g in generators]
-    if not gens:
-        raise InvalidInputError("need at least one generator")
-    d = gens[0].shape[0]
-    for g in gens:
-        if g.shape[0] != d:
-            raise InvalidInputError("generators must share one dimension")
-    labels = [int(sym) for sym in word]
-    for label in labels:
-        if not 1 <= label <= len(gens):
-            raise InvalidInputError(
-                f"word symbol {label} outside alphabet 1..{len(gens)}"
-            )
-    prod = LogScaledMatrix.identity(d)
-    for prod in walk(gens, labels, prod):
-        pass
-    return prod

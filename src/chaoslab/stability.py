@@ -76,7 +76,7 @@ def necklace_log_radii(system: MatrixSystem, max_len: int):
     then lexicographically.  Each length is one word-tree walk from the
     identity that descends only from prenecklaces (the body computes each
     word's FKM period before ``descend`` reads it), so products are shared
-    across common prefixes and equal ``word_product`` bit for bit.
+    across common prefixes and equal ``MatrixSystem.word_product`` bit for bit.
     """
     max_len = require_int(max_len, 1, "max_len must be a positive integer")
     identity = LogScaledMatrix.identity(system.dim)

@@ -31,8 +31,8 @@ class Word:
     alphabet_size: int
 
     def __post_init__(self):
-        if self.alphabet_size < 1:
-            raise InvalidInputError("alphabet size must be at least 1")
+        size = require_int(self.alphabet_size, 1, "alphabet size must be an integer of at least 1")
+        object.__setattr__(self, "alphabet_size", size)
         message = f"word symbols must be integers in 1..{self.alphabet_size}"
         syms = tuple(require_int(s, 1, message) for s in self.symbols)
         object.__setattr__(self, "symbols", syms)
@@ -239,8 +239,8 @@ class BlockLaw(SwitchingLaw):
     """
 
     def __init__(self, blocks, alphabet_size: int, rule=None, rule_name: str | None = None):
-        if alphabet_size < 1:
-            raise InvalidInputError("alphabet size must be at least 1")
+        alphabet_size = require_int(alphabet_size, 1,
+                                    "alphabet size must be an integer of at least 1")
         clean = tuple(
             _block(sym, length, alphabet_size, f"invalid block ({sym!r}, {length!r}): "
                    f"symbols lie in 1..{alphabet_size} and lengths are at least 1")

@@ -58,6 +58,19 @@ def test_system_generators_are_read_only():
         system.generator(1)[0, 0] = 7.0
 
 
+@pytest.mark.parametrize("label", [True, 1.5, "1", 0, 3])
+def test_system_generator_rejects_bad_labels(label):
+    system = MatrixSystem([np.eye(2), 2.0 * np.eye(2)])
+    with pytest.raises(InvalidInputError):
+        system.generator(label)
+
+
+def test_system_generator_accepts_integer_valued_labels():
+    system = MatrixSystem([np.eye(2), 2.0 * np.eye(2)])
+    assert system.generator(np.int64(2))[0, 0] == 2.0
+    assert system.generator(2.0)[0, 0] == 2.0
+
+
 # ---------------------------------------------------------------------------
 # witness verification
 

@@ -7,11 +7,11 @@ import pytest
 from chaoslab import (
     InvalidInputError,
     LogScaledMatrix,
+    MatrixSystem,
     as_matrix,
     co_norm,
     op_norm,
     spectral_radius,
-    word_product,
     word_tree,
 )
 
@@ -229,25 +229,32 @@ def test_log_scaled_unit_is_read_only():
 def test_word_product_applies_rightmost_first():
     a = np.array([[1.0, 1.0], [0.0, 1.0]])
     b = np.array([[1.0, 0.0], [2.0, 1.0]])
-    got = word_product([a, b], (1, 2)).dense()
+    got = MatrixSystem([a, b]).word_product((1, 2)).dense()
     assert np.allclose(got, b @ a, atol=1e-12)
 
 
 def test_word_product_empty_word_is_identity():
-    prod = word_product([np.diag([3.0, 3.0])], ())
+    prod = MatrixSystem([np.diag([3.0, 3.0])]).word_product(())
     assert np.allclose(prod.dense(), np.eye(2))
 
 
 def test_word_product_label_validation():
     with pytest.raises(InvalidInputError):
-        word_product([np.eye(2)], (2,))
+        MatrixSystem([np.eye(2)]).word_product((2,))
     with pytest.raises(InvalidInputError):
-        word_product([np.eye(2)], (0,))
+        MatrixSystem([np.eye(2)]).word_product((0,))
+
+
+@pytest.mark.parametrize("label", [1.5, True, "2"])
+def test_word_product_rejects_non_integer_labels(label):
+    system = MatrixSystem([np.eye(2), 2.0 * np.eye(2)])
+    with pytest.raises(InvalidInputError):
+        system.word_product((label,))
 
 
 def test_word_product_long_alternation():
     gens = [np.diag([0.5, 0.5]), np.diag([2.0, 2.0])]
-    prod = word_product(gens, (1, 2) * 500)
+    prod = MatrixSystem(gens).word_product((1, 2) * 500)
     assert prod.log_op_norm == pytest.approx(0.0, abs=1e-9)
 
 
@@ -301,8 +308,9 @@ def test_word_tree_log_scaled_start_matches_word_product_bitwise():
     rng = np.random.default_rng(3)
     # Norms far from 1 force renormalization at most steps.
     gens = [3.0 * rng.normal(size=(2, 2)), 0.2 * rng.normal(size=(2, 2)), rng.normal(size=(2, 2))]
+    system = MatrixSystem(gens)
     for symbols, prod in word_tree(gens, 5, LogScaledMatrix.identity(2)):
-        want = word_product(gens, symbols)
+        want = system.word_product(symbols)
         assert prod.unit.tobytes() == want.unit.tobytes()
         assert prod.log_scale == want.log_scale
 

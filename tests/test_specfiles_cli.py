@@ -321,6 +321,68 @@ def test_cli_report_reproducible(shear_file, tmp_path):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+PERIODIC_SPEC = {"alphabet": 2, "type": "periodic", "word": [1, 2, 2]}
+
+# Report parameters of every subcommand: every option except the input and
+# output paths, with --law as the law's description, construct's words
+# normalized and simulate's x0 as the vector used.
+REPORT_PARAMETERS = {
+    "analyze": (["analyze", "--system", "{diag}", "--word-len", "3"],
+                {"budget": 4194304, "kmax": 2, "tol": 1e-12, "word_len": 3}),
+    "construct-normalized": (["construct", "--system", "{diag}", "--i", "01", "--j", "2-02",
+                              "--prefix", "02-2-1", "--kmax", "3"],
+                             {"i": "1", "j": "2-2", "kmax": 3, "prefix": "2-2-1"}),
+    "construct-defaults": (["construct", "--system", "{diag}", "--i", "1", "--j", "2"],
+                           {"i": "1", "j": "2", "kmax": 2, "prefix": ""}),
+    "simulate-default-x0": (["simulate", "--system", "{diag}", "--law", "{periodic}",
+                             "--horizon", "7"],
+                            {"horizon": 7, "law": PERIODIC_SPEC, "x0": [1.0, 0.0]}),
+    "simulate-x0": (["simulate", "--system", "{diag}", "--law", "{periodic}", "--x0", "3,-0.5"],
+                    {"horizon": 10000, "law": PERIODIC_SPEC, "x0": [3.0, -0.5]}),
+    "jsr": (["jsr", "--system", "{shear}", "--gap", "0.008"],
+            {"gap": 0.008, "nodes": 1000000}),
+    "stability": (["stability", "--system", "{shear}", "--max-len", "6"],
+                  {"budget": 4194304, "max_len": 6, "tol": 1e-09}),
+    "growth-probe": (["growth", "--system", "{shear}", "--nmax", "5", "--probe"],
+                     {"budget": 4194304, "nmax": 5, "probe": True}),
+    "growth-defaults": (["growth", "--system", "{shear}"],
+                        {"budget": 4194304, "nmax": 14, "probe": False}),
+    "runs": (["runs", "--law", "{doubling}", "--horizon", "126"],
+             {"horizon": 126, "law": {"alphabet": 2, "type": "doubling"}, "max_run": 20}),
+    "runs-system": (["runs", "--law", "{periodic}", "--system", "{diag}", "--max-run", "5"],
+                    {"horizon": 10000, "law": PERIODIC_SPEC, "max_run": 5}),
+    "lyapunov": (["lyapunov", "--system", "{diag}", "--samples", "20", "--seed", "3"],
+                 {"horizon": 400, "samples": 20, "seed": 3}),
+}
+
+
+@pytest.mark.parametrize("argv, parameters", REPORT_PARAMETERS.values(),
+                         ids=REPORT_PARAMETERS.keys())
+def test_cli_report_parameters(argv, parameters, diag_file, shear_file, tmp_path, capsys):
+    paths = {"diag": diag_file, "shear": shear_file,
+             "periodic": str(tmp_path / "periodic.json"),
+             "doubling": str(tmp_path / "doubling.json")}
+    save_law(PeriodicLaw(Word((1, 2, 2), 2)), paths["periodic"])
+    save_law(doubling_law(), paths["doubling"])
+    report = str(tmp_path / "report.json")
+    assert main([a.format(**paths) for a in argv] + ["--json", report]) == 0
+    data = json.load(open(report))
+    assert data["command"] == argv[0]
+    assert data["parameters"] == parameters
+
+
+def test_cli_analyze_budget_exhausted_report(shear_file, tmp_path, capsys):
+    report = str(tmp_path / "report.json")
+    rc = main(["analyze", "--system", shear_file, "--word-len", "8",
+               "--budget", "10", "--json", report])
+    assert rc == 3
+    assert "budget exhausted after 11 products" in capsys.readouterr().err
+    data = json.load(open(report))
+    assert data["results"] == {"verdict": "budget-exhausted", "products_formed": 11}
+    assert data["parameters"] == {"budget": 10, "kmax": 2, "tol": 1e-12, "word_len": 8}
+    assert data["system_digest"]
+
+
 def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

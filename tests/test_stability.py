@@ -23,7 +23,6 @@ from chaoslab import (
     polynomial_growth_exponent,
     product_unbounded_probe,
     shear_pair,
-    word_product,
 )
 from chaoslab.stability import BOUNDED_SO_FAR, GROWING
 
@@ -99,7 +98,7 @@ def test_necklace_log_radii_match_word_product(k):
     system = MatrixSystem([random_invertible(rng, 2) for _ in range(k)])
     # The words themselves are checked against brute force in test_switching.
     for symbols, value in necklace_log_radii(system, 8):
-        assert value == word_product(system.generators, symbols).log_spectral_radius / len(symbols)
+        assert value == system.word_product(symbols).log_spectral_radius / len(symbols)
 
 
 def test_stability_validation(shear06):
@@ -111,13 +110,12 @@ def test_stability_validation(shear06):
 
 def test_normalized_radius_is_rotation_invariant(shear06):
     rng = np.random.default_rng(13)
-    gens = shear06.generators
     for _ in range(100):
         n = int(rng.integers(2, 9))
         syms = tuple(int(s) for s in rng.integers(1, 3, n))
         rot = syms[1:] + syms[:1]
-        a = word_product(gens, syms)
-        b = word_product(gens, rot)
+        a = shear06.word_product(syms)
+        b = shear06.word_product(rot)
         from chaoslab import spectral_radius
 
         ra = a.log_scale + math.log(spectral_radius(a.unit).radius)

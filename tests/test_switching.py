@@ -74,6 +74,20 @@ def test_word_accepts_integer_valued_numbers():
     assert all(type(s) is int for s in w.symbols)
 
 
+@pytest.mark.parametrize("symbols, size", [((1,), 2.5), ((), True)])
+def test_word_rejects_non_integer_alphabet_size(symbols, size):
+    with pytest.raises(InvalidInputError):
+        Word(symbols, size)
+
+
+def test_word_stores_alphabet_size_as_int():
+    w = Word((2,), np.int64(2))
+    assert type(w.alphabet_size) is int
+    spec = PeriodicLaw(Word((2,), 2.0)).spec_dict()
+    assert type(spec["alphabet"]) is int
+    assert law_from_spec(spec).sequence(3) == [2, 2, 2]
+
+
 # ---------------------------------------------------------------------------
 # law classes
 
@@ -139,6 +153,16 @@ def test_block_law_validation():
         BlockLaw([(1, 0)], alphabet_size=2)
     with pytest.raises(InvalidInputError):
         BlockLaw([(3, 2)], alphabet_size=2)
+
+
+def test_block_law_rejects_fractional_alphabet_size():
+    with pytest.raises(InvalidInputError):
+        BlockLaw([(1, 1)], alphabet_size=1.5)
+
+
+def test_block_law_stores_alphabet_size_as_int():
+    law = BlockLaw([(1, 1)], alphabet_size=2.0)
+    assert type(law.spec_dict()["alphabet"]) is int
 
 
 def test_doubling_law_prefix_and_boundaries():
