@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidInputError, require_int
+from .errors import (BudgetExceededError, InvalidInputError, require_fraction, require_int,
+                     require_positive)
 from .linalg import (
     ABS_TOL,
     SINGULARITY_RTOL,
@@ -146,6 +147,7 @@ def verify_witness(system: MatrixSystem, contract_word: Word, expand_word: Word,
     1 - tol and co_norm of the expanding product is above 1 + tol; otherwise
     a Refusal naming every failing side with its computed value.
     """
+    tol = require_fraction(tol, "tol must lie in [0, 1)")
     for name, word in (("contracting", contract_word), ("expanding", expand_word)):
         if word.alphabet_size != system.alphabet_size:
             raise InvalidInputError(f"{name} word alphabet does not match the system")
@@ -197,6 +199,7 @@ def find_witness(system: MatrixSystem, max_len: int = 12,
     """
     max_len = require_int(max_len, 1, "max_len must be a positive integer")
     budget = require_int(budget, 0, "budget must be a nonnegative integer")
+    tol = require_fraction(tol, "tol must lie in [0, 1)")
     scan = ((length, symbols, prod) for length in range(1, max_len + 1)
             for symbols, prod in word_tree(system.generators, length, np.eye(system.dim)))
     found_contract: tuple[Word, float] | None = None
@@ -288,14 +291,15 @@ def construct_chaotic_law(system: MatrixSystem, witness: WitnessPair, target_pre
     log(k) + margin (minimal exponent L_k).  Both loops terminate because the
     witness inequalities give geometric decay and growth per application.
 
-    The witness is re-verified against the system first; a stale witness is
-    an invalid input.  k_max = 0 returns an empty-schedule certificate with
-    the prefix as an explicit law.
+    The witness is re-verified with tol 0, which any pair ``find_witness``
+    returns passes; a stale witness is an invalid input.  k_max = 0 returns
+    an empty-schedule certificate with the prefix as an explicit law.
     """
     k_max = require_int(k_max, 0, "k_max must be a nonnegative integer")
+    margin = require_positive(margin, "margin must be a positive finite number")
     if target_prefix.alphabet_size != system.alphabet_size:
         raise InvalidInputError("target prefix alphabet does not match the system")
-    check = verify_witness(system, witness.contracting, witness.expanding)
+    check = verify_witness(system, witness.contracting, witness.expanding, tol=0.0)
     if isinstance(check, Refusal):
         raise InvalidInputError(f"stale witness: {check.message}")
 
@@ -374,10 +378,15 @@ def recheck_certificate(system: MatrixSystem, cert: ChaosCertificate) -> bool:
 
     Walks the certificate's law symbol by symbol with a fresh log-scaled
     product and confirms that at each recorded crossing time the op-norm or
-    co-norm clears its threshold with the certificate's margin.
+    co-norm clears its threshold with the certificate's margin.  A margin
+    that is not a positive finite number certifies nothing.
     """
     if cert.prefix.alphabet_size != system.alphabet_size:
         raise InvalidInputError("certificate alphabet does not match the system")
+    try:
+        require_positive(cert.margin, "margin must be a positive finite number")
+    except InvalidInputError:
+        return False
     symbols = certificate_law(cert).sequence(cert.final_time)
     below = {t: k for k, t, _ in cert.crossings}
     above = {t: k for k, _, t in cert.crossings}
@@ -490,6 +499,7 @@ def chaos_scan(system: MatrixSystem, law: SwitchingLaw, k_max: int, horizon: int
         raise InvalidInputError("law alphabet does not match the system")
     k_max = require_int(k_max, 1, "k_max must be a positive integer")
     horizon = require_int(horizon, 1, "horizon must be a positive integer")
+    margin = require_positive(margin, "margin must be a positive finite number")
     low_targets = [-math.log(k) - margin for k in range(1, k_max + 1)]
     high_targets = [math.log(k) + margin for k in range(1, k_max + 1)]
     below: list[int | None] = [None] * k_max

@@ -3,9 +3,10 @@
 ``main`` loads a subcommand's system and law files, calls its handler, and
 writes the JSON report (--json) once the handler returns.  Each handler runs
 one library entry point, prints a one-line summary, and optionally writes a
-law (--out) or CSV table (--csv).  Exit codes: 0 success, 2 invalid input,
-3 a search budget ran out; in the budget case whatever partial results exist
-are still written before exiting.
+law (--out) or CSV table (--csv).  Exit codes: 0 success, 2 invalid input
+(including an output path that cannot be written), 3 a search budget ran
+out; in the budget case whatever partial results exist are still written
+before exiting.
 """
 
 from __future__ import annotations
@@ -401,21 +402,21 @@ def main(argv=None) -> int:
         if law is not None:
             parameters["law"] = switching.law_to_spec(law)
         code, results = args.func(args, system, law, parameters)
+        if args.json:
+            report = specfiles.build_report(
+                command=args.command,
+                parameters=parameters,
+                results=results,
+                system_digest=digest,
+                timings={"seconds": round(time.perf_counter() - started, 6)},
+            )
+            specfiles.write_json(args.json, report)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    if args.json:
-        report = specfiles.build_report(
-            command=args.command,
-            parameters=parameters,
-            results=results,
-            system_digest=digest,
-            timings={"seconds": round(time.perf_counter() - started, 6)},
-        )
-        specfiles.write_json(args.json, report)
     return code
 
 

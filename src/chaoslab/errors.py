@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the integer argument check."""
+"""Exception types shared across the package, and the argument checks."""
+
+import math
 
 
 class InvalidInputError(ValueError):
@@ -15,24 +17,31 @@ class BudgetExceededError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Raised when an iterative numerical routine fails to converge.
-
-    Carries the residual reached when the iteration stopped so callers can
-    decide whether the partial answer is still usable.
-    """
-
-    def __init__(self, message, residual=float("inf")):
-        super().__init__(message)
-        self.residual = residual
+    """Raised when an iterative numerical routine fails to converge."""
 
 
-def require_int(value, minimum, message: str) -> int:
-    """``value`` as an int; raises InvalidInputError(message) unless it is an
-    integer-valued number, not a bool, and at least ``minimum``."""
+def _require(test, value, message: str):
+    """``value`` when it is not a bool and ``test(value)`` holds; otherwise
+    (a failed or unanswerable test) raises InvalidInputError(message)."""
     try:
-        ok = not isinstance(value, bool) and int(value) == value and value >= minimum
+        ok = not isinstance(value, bool) and bool(test(value))
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         raise InvalidInputError(message)
-    return int(value)
+    return value
+
+
+def require_int(value, minimum, message: str) -> int:
+    """``value`` as an int: an integer-valued number, at least ``minimum``."""
+    return int(_require(lambda v: int(v) == v and v >= minimum, value, message))
+
+
+def require_fraction(value, message: str) -> float:
+    """``value`` as a float: a number in [0, 1); NaN is outside."""
+    return float(_require(lambda v: 0.0 <= v < 1.0, value, message))
+
+
+def require_positive(value, message: str) -> float:
+    """``value`` as a float: a positive finite number."""
+    return float(_require(lambda v: v > 0.0 and math.isfinite(v), value, message))

@@ -115,17 +115,23 @@ def _jsonable(obj):
 
 
 def _atomic_write(path: str, write_body) -> None:
+    """Write through a temporary file renamed onto ``path``; an OS failure
+    removes the temporary file and becomes an InvalidInputError."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".chaoslab-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".chaoslab-", suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as fh:
             write_body(fh)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise InvalidInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

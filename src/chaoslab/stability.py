@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import MatrixSystem
-from .errors import BudgetExceededError, InvalidInputError, require_int
+from .errors import (BudgetExceededError, InvalidInputError, require_fraction, require_int,
+                     require_positive)
 from .linalg import LogScaledMatrix, op_norm, walk, word_tree
 from .switching import Word, _prenecklace_period
 
@@ -103,8 +104,7 @@ def periodic_stability(
     """
     max_len = require_int(max_len, 1, "max_len must be a positive integer")
     budget = require_int(budget, 0, "budget must be a nonnegative integer")
-    if not (0.0 <= tol < 1.0):
-        raise InvalidInputError("tol must lie in [0, 1)")
+    tol = require_fraction(tol, "tol must lie in [0, 1)")
     worst_word: Word | None = None
     worst_radius = -math.inf
     first_unstable: int | None = None
@@ -183,8 +183,7 @@ def jsr_bracket(
     budget = require_int(
         budget, system.alphabet_size, "budget must cover at least one tree level"
     )
-    if not (target_gap > 0.0) or not math.isfinite(target_gap):
-        raise InvalidInputError("target_gap must be a positive finite number")
+    target_gap = require_positive(target_gap, "target_gap must be a positive finite number")
     gens = system.generators
     k = system.alphabet_size
     one_step = max(op_norm(g) for g in gens)
@@ -670,31 +669,3 @@ def lyapunov_mc(
         seed=int(seed),
     )
 
-
-__all__ = [
-    "StabilityVerdict",
-    "necklace_log_radii",
-    "periodic_stability",
-    "JsrBracket",
-    "jsr_bracket",
-    "GrowthCurve",
-    "growth_curve",
-    "growth_verdict",
-    "shear_pair",
-    "build_shear_block_system",
-    "NormTable",
-    "extremal_norm_estimate",
-    "IrreducibilityReport",
-    "irreducibility",
-    "RestrictionProbe",
-    "ProbeReport",
-    "product_unbounded_probe",
-    "LyapunovEstimate",
-    "lyapunov_mc",
-    "polynomial_growth_exponent",
-    "GROWING",
-    "BOUNDED_SO_FAR",
-    "DEFAULT_JSR_BUDGET",
-    "DEFAULT_JSR_GAP",
-    "DEFAULT_GROWTH_NMAX",
-]

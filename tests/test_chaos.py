@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -294,6 +295,46 @@ def test_construct_density(diag_pair):
             _, law = construct_chaotic_law(diag_pair, pair, target, 2)
             assert law.sequence(n_prefix) == list(target.symbols)
             assert law_metric(target_law, law) < 2.0 ** (-n_prefix)
+
+
+# The witness scan at tol 0 finds a contraction by 5e-14 per step; the
+# construction must accept what the scan returned.
+NEAR_NEUTRAL = MatrixSystem([(1.0 - 5e-14) * np.eye(2), 2.0 * np.eye(2)])
+BAD_TOLS = [-0.5, math.nan, 1.0, 1.5, math.inf, True, "0.1", None]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_witness_tol_is_validated(diag_pair, tol):
+    with pytest.raises(InvalidInputError, match=r"tol must lie in \[0, 1\)"):
+        find_witness(diag_pair, max_len=2, tol=tol)
+    with pytest.raises(InvalidInputError, match=r"tol must lie in \[0, 1\)"):
+        verify_witness(diag_pair, Word((1,), 2), Word((2,), 2), tol=tol)
+
+
+def test_construct_accepts_a_witness_found_at_tol_zero():
+    pair = find_witness(NEAR_NEUTRAL, max_len=1, tol=0).witness
+    assert (pair.contracting.symbols, pair.expanding.symbols) == ((1,), (2,))
+    assert isinstance(verify_witness(NEAR_NEUTRAL, pair.contracting, pair.expanding), Refusal)
+    cert, _ = construct_chaotic_law(NEAR_NEUTRAL, pair, Word((), 2), 1)
+    assert cert.schedule[0][0] > 1000
+    assert recheck_certificate(NEAR_NEUTRAL, cert)
+
+
+@pytest.mark.parametrize("margin", [-2.0, 0.0, math.nan, math.inf, True, "1e-9"])
+def test_margin_must_be_positive_and_finite(diag_pair, margin):
+    pair = _diag_witness(diag_pair)
+    with pytest.raises(InvalidInputError, match="margin must be a positive finite number"):
+        construct_chaotic_law(diag_pair, pair, Word((), 2), 3, margin=margin)
+    _, law = construct_chaotic_law(diag_pair, pair, Word((), 2), 3)
+    with pytest.raises(InvalidInputError, match="margin must be a positive finite number"):
+        chaos_scan(diag_pair, law, 3, 50, margin=margin)
+
+
+@pytest.mark.parametrize("margin", [-2.0, 0.0, math.nan, math.inf])
+def test_recheck_refuses_a_margin_that_is_not_positive_and_finite(diag_pair, margin):
+    cert, _ = construct_chaotic_law(diag_pair, _diag_witness(diag_pair), Word((), 2), 3)
+    assert recheck_certificate(diag_pair, cert)
+    assert not recheck_certificate(diag_pair, dataclasses.replace(cert, margin=margin))
 
 
 # ---------------------------------------------------------------------------

@@ -118,19 +118,19 @@ def test_submultiplicative_and_supermultiplicative():
 
 
 def test_spectral_radius_closed_forms():
-    assert spectral_radius(np.diag([2.0, 0.5])).radius == pytest.approx(2.0, abs=1e-15)
+    assert spectral_radius(np.diag([2.0, 0.5])) == pytest.approx(2.0, abs=1e-15)
     # complex pair: rotation has radius exactly 1
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert spectral_radius(rot).radius == pytest.approx(1.0, abs=1e-15)
+    assert spectral_radius(rot) == pytest.approx(1.0, abs=1e-15)
     # defective: the shear has the double eigenvalue 1
-    assert spectral_radius(SHEAR).radius == pytest.approx(1.0, abs=1e-12)
-    assert spectral_radius(np.array([[-4.0]])).radius == 4.0
+    assert spectral_radius(SHEAR) == pytest.approx(1.0, abs=1e-12)
+    assert spectral_radius(np.array([[-4.0]])) == 4.0
 
 
 def test_spectral_radius_known_3x3():
     # companion matrix of (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
     c = np.array([[0.0, 0.0, 6.0], [1.0, 0.0, -11.0], [0.0, 1.0, 6.0]])
-    assert spectral_radius(c).radius == pytest.approx(3.0, rel=1e-9)
+    assert spectral_radius(c) == pytest.approx(3.0, rel=1e-9)
 
 
 def test_spectral_radius_rho_le_norm_random():
@@ -138,22 +138,41 @@ def test_spectral_radius_rho_le_norm_random():
     for _ in range(300):
         d = int(rng.integers(1, 6))
         a = rng.standard_normal((d, d))
-        assert spectral_radius(a).radius <= op_norm(a) * (1.0 + 1e-10) + 1e-300
+        assert spectral_radius(a) <= op_norm(a) * (1.0 + 1e-10) + 1e-300
 
 
 def test_spectral_radius_scaling():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((4, 4))
-    r = spectral_radius(a).radius
-    assert spectral_radius(3.5 * a).radius == pytest.approx(3.5 * r, rel=1e-10)
+    r = spectral_radius(a)
+    assert spectral_radius(3.5 * a) == pytest.approx(3.5 * r, rel=1e-10)
 
 
-def test_spectrum_residual_is_small_for_diagonalizable():
-    rng = np.random.default_rng(19)
-    a = random_invertible(rng, 5)
-    spec = spectral_radius(a)
-    assert spec.roots_found == 5
-    assert spec.residual <= 1e-8
+def test_spectral_radius_matches_mpmath_oracle():
+    # A = V D V^-1 with D holding real eigenvalues and, for odd d, one
+    # complex pair as a 2x2 rotation-scaling block; the oracle is mpmath's
+    # eigenvalue solver at 50 digits on the same float entries.
+    import mpmath
+    rng = np.random.default_rng(29)
+    for d in (3, 4, 5, 6) * 5:
+        block = np.diag(rng.uniform(-2.0, 2.0, d))
+        if d % 2:
+            r, theta = rng.uniform(0.5, 2.0), rng.uniform(0.2, 3.0)
+            block[:2, :2] = r * np.array(
+                [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+            )
+        v = np.eye(d) + 0.4 * rng.standard_normal((d, d))
+        a = v @ block @ np.linalg.inv(v)
+        with mpmath.workdps(50):
+            eigs, _ = mpmath.eig(mpmath.matrix(a.tolist()))
+            expected = float(max(abs(e) for e in eigs))
+        assert spectral_radius(a) == pytest.approx(expected, rel=1e-10)
+
+
+def test_spectral_radius_is_a_plain_float():
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 4):
+        assert type(spectral_radius(rng.standard_normal((d, d)))) is float
 
 
 # ---------------------------------------------------------------------------

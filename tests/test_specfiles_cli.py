@@ -309,6 +309,52 @@ def test_cli_bad_word_exit_code(diag_file, capsys):
     assert rc == 2
 
 
+UNWRITABLE = {
+    "json": ["stability", "--system", "{shear}", "--max-len", "4", "--json", "{missing}/r.json"],
+    "out": ["construct", "--system", "{diag}", "--i", "1", "--j", "2", "--out",
+            "{missing}/law.json"],
+    "csv": ["simulate", "--system", "{diag}", "--law", "{law}", "--horizon", "5", "--csv",
+            "{missing}/t.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_cli_unwritable_output_exit_code(argv, diag_file, shear_file, tmp_path, capsys):
+    law_path = str(tmp_path / "law.json")
+    save_law(doubling_law(), law_path)
+    paths = {"diag": diag_file, "shear": shear_file, "law": law_path,
+             "missing": str(tmp_path / "missing")}
+    rc = main([arg.format(**paths) for arg in argv])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'missing'}")
+    assert not list(tmp_path.rglob(".chaoslab-*.tmp"))
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_json(path, {"a": 1}),
+    lambda path: write_csv(path, ["n"], [[1]]),
+], ids=["json", "csv"])
+def test_failed_rename_removes_the_temporary_file(write, tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(InvalidInputError, match="cannot write"):
+        write(str(target))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_cli_analyze_tol(tmp_path, capsys):
+    # (1 - 5e-14) I contracts only for tol below 5e-14.
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"dim": 2, "matrices": {
+        "1": [[1.0 - 5e-14, 0.0], [0.0, 1.0 - 5e-14]], "2": [[2.0, 0.0], [0.0, 2.0]]}}))
+    argv = ["analyze", "--system", str(path), "--word-len", "1", "--kmax", "1", "--tol"]
+    assert main(argv + ["0"]) == 0
+    assert "chaotic-law-constructed (contracting 1, expanding 2" in capsys.readouterr().out
+    for bad in ("-0.5", "nan"):
+        assert main(argv + [bad]) == 2
+        assert capsys.readouterr().err == "error: tol must lie in [0, 1)\n"
+
+
 def test_cli_report_reproducible(shear_file, tmp_path):
     a_path = str(tmp_path / "a.json")
     b_path = str(tmp_path / "b.json")
