@@ -38,9 +38,6 @@ DEFAULT_GREEDY_BUDGET = 10 ** 6
 # Certified strict inequalities must hold with this log-space margin.
 LOG_MARGIN = 1e-9
 
-CONTRACTING = "contracting"
-EXPANDING_OR_NEUTRAL = "nonchaotic-expanding-or-neutral"
-
 
 class MatrixSystem:
     """A finite set of invertible generators of one dimension, labeled 1..K."""
@@ -522,27 +519,3 @@ def chaos_scan(system: MatrixSystem, law: SwitchingLaw, k_max: int, horizon: int
         for k_idx in range(k_max)
     )
     return CrossingTable(entries=entries, k_max=k_max, horizon=horizon, margin=margin)
-
-
-@dataclass(frozen=True)
-class PeriodicVerdict:
-    kind: str  # CONTRACTING or EXPANDING_OR_NEUTRAL
-    radius: float
-    word: Word
-
-
-def classify_periodic(system: MatrixSystem, word: Word) -> PeriodicVerdict:
-    """Classify the periodic law repeating ``word`` by its product's radius.
-
-    Radius below 1 means every orbit of the periodic law decays to zero
-    (contracting); radius 1 or larger means orbits along the dominant
-    eigendirection do not decay, which rules the law out as chaotic but
-    leaves it expanding or neutral.
-    """
-    if word.alphabet_size != system.alphabet_size:
-        raise InvalidInputError("word alphabet does not match the system")
-    if len(word) == 0:
-        raise InvalidInputError("the periodic word must be nonempty")
-    radius = math.exp(system.word_product(word).log_spectral_radius)
-    kind = CONTRACTING if radius < 1.0 - ABS_TOL else EXPANDING_OR_NEUTRAL
-    return PeriodicVerdict(kind=kind, radius=radius, word=word)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NonConvergenceError
+from .errors import InvalidInputError, NonConvergenceError, _require
 
 # Absolute tolerance for scalar threshold comparisons throughout the package.
 ABS_TOL = 1e-12
@@ -132,13 +132,26 @@ class LogScaledMatrix:
     log_scale: float
 
     def __post_init__(self):
-        self.unit.setflags(write=False)
+        unit = as_matrix(self.unit)
+        log_scale = float(_require(math.isfinite, self.log_scale, "log_scale must be finite"))
+        unit.setflags(write=False)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "log_scale", log_scale)
+
+    @classmethod
+    def _trusted(cls, unit: np.ndarray, log_scale: float) -> "LogScaledMatrix":
+        """Wrap a finite square unit and a finite scale without checking them
+        again; identity, from_matrix and left_multiply build through here."""
+        self = object.__new__(cls)
+        unit.setflags(write=False)
+        vars(self).update(unit=unit, log_scale=log_scale)
+        return self
 
     @classmethod
     def identity(cls, dim: int) -> "LogScaledMatrix":
         if dim < 1:
             raise InvalidInputError("dimension must be at least 1")
-        return cls(unit=np.eye(dim), log_scale=0.0)
+        return cls._trusted(np.eye(dim), 0.0)
 
     @classmethod
     def from_matrix(cls, a) -> "LogScaledMatrix":
@@ -146,7 +159,7 @@ class LogScaledMatrix:
         nu = op_norm(arr)
         if nu == 0.0:
             raise InvalidInputError("the zero matrix has no log-scaled representation")
-        return cls(unit=arr / nu, log_scale=math.log(nu))
+        return cls._trusted(arr / nu, math.log(nu))
 
     @property
     def dim(self) -> int:
@@ -159,11 +172,10 @@ class LogScaledMatrix:
         if nu == 0.0:
             raise InvalidInputError("product collapsed to the zero matrix")
         if _BAND_LO <= nu <= _BAND_HI:
-            return LogScaledMatrix(unit=raw, log_scale=self.log_scale)
-        return LogScaledMatrix(unit=raw / nu, log_scale=self.log_scale + math.log(nu))
+            return self._trusted(raw, self.log_scale)
+        return self._trusted(raw / nu, self.log_scale + math.log(nu))
 
-    # The reads below skip ``as_matrix``: identity, from_matrix and
-    # left_multiply validated the unit.
+    # The reads below skip ``as_matrix``: every unit was validated on entry.
 
     @property
     def log_op_norm(self) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError, require_int
 from .linalg import walk
-from .stability import necklace_log_radii
+from .stability import periodic_stability
 from .switching import SwitchingLaw
 
 CONSISTENT = "consistent-with-run-nonchaotic"
@@ -124,23 +124,22 @@ class DecayReport:
 def decay_check(system, law: SwitchingLaw, horizon: int) -> DecayReport:
     """Measure whether the cocycle product along ``law`` is heading to zero.
 
-    Intended for systems whose periodic products all contract; when a quick
-    scan of short periodic words finds a non-contracting one, the report
-    carries a warning instead of refusing, since the measurement itself is
-    still well defined.
+    Intended for systems whose periodic products all contract; when
+    ``periodic_stability`` finds a short periodic word that does not, the
+    report names the worst one in a warning instead of refusing, since the
+    measurement itself is still well defined.
     """
     if law.alphabet_size != system.alphabet_size:
         raise InvalidInputError("law alphabet does not match the system")
     horizon = require_int(horizon, 4, "horizon must be an integer >= 4")
     warning = None
-    for symbols, log_radius in necklace_log_radii(system, _QUICK_STABILITY_LEN):
-        if log_radius >= -1e-12:
-            warning = (
-                "system is not periodically stable up to word length "
-                f"{_QUICK_STABILITY_LEN} (word {symbols} has normalized "
-                f"radius {math.exp(log_radius):.6f}); decay is not expected"
-            )
-            break
+    periodic = periodic_stability(system, _QUICK_STABILITY_LEN)
+    if not periodic.stable:
+        warning = (
+            "system is not periodically stable up to word length "
+            f"{_QUICK_STABILITY_LEN} (word {periodic.worst_word.symbols} has normalized "
+            f"radius {periodic.worst_radius:.6f}); decay is not expected"
+        )
     logs = np.empty(horizon)
     for n, prod in enumerate(walk(system.generators, law.sequence(horizon))):
         logs[n] = prod.log_op_norm

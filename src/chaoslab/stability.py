@@ -27,6 +27,9 @@ DEFAULT_ENUM_BUDGET = 1 << 22
 GROWING = "growing"
 BOUNDED_SO_FAR = "bounded-so-far"
 
+CONTRACTING = "contracting"
+EXPANDING_OR_NEUTRAL = "nonchaotic-expanding-or-neutral"
+
 # Tail rise in log space that flips a growth probe to "growing".
 _GROWTH_RISE = math.log(1.25)
 # Mean per-step log drift beyond which a curve is flagged geometric.
@@ -41,6 +44,12 @@ def polynomial_growth_exponent(dim: int) -> int:
 
 # ---------------------------------------------------------------------------
 # periodic stability
+
+
+def _contracts(normalized_radius: float, tol: float = DEFAULT_STABILITY_TOL) -> bool:
+    """The one contraction rule for a periodic word w, read on its
+    normalized radius rho(S_w)^(1/|w|): contracting below 1 - tol."""
+    return normalized_radius < 1.0 - tol
 
 
 @dataclass
@@ -118,7 +127,7 @@ def periodic_stability(
         if normalized > worst_radius:
             worst_radius = normalized
             worst_word = system.word(symbols)
-        if normalized >= 1.0 - tol and first_unstable is None:
+        if not _contracts(normalized, tol) and first_unstable is None:
             first_unstable = length
     if first_unstable is not None and first_unstable <= checked:
         stable_up_to = first_unstable - 1
@@ -133,6 +142,32 @@ def periodic_stability(
         tol=tol,
         truncated=checked < max_len,
     )
+
+
+@dataclass(frozen=True)
+class PeriodicVerdict:
+    kind: str  # CONTRACTING or EXPANDING_OR_NEUTRAL
+    radius: float
+    word: Word
+
+
+def classify_periodic(system: MatrixSystem, word: Word) -> PeriodicVerdict:
+    """Classify the periodic law repeating ``word`` by its product's radius.
+
+    Contracting means every orbit of the periodic law decays to zero: the
+    normalized radius rho(S_w)^(1/|w|) sits below 1 - DEFAULT_STABILITY_TOL,
+    the rule ``periodic_stability`` applies.  Otherwise orbits along the
+    dominant eigendirection do not decay, which rules the law out as chaotic
+    but leaves it expanding or neutral.  ``radius`` is rho(S_w) itself.
+    """
+    if word.alphabet_size != system.alphabet_size:
+        raise InvalidInputError("word alphabet does not match the system")
+    if len(word) == 0:
+        raise InvalidInputError("the periodic word must be nonempty")
+    log_radius = system.word_product(word).log_spectral_radius
+    contracting = _contracts(math.exp(log_radius / len(word)))
+    return PeriodicVerdict(kind=CONTRACTING if contracting else EXPANDING_OR_NEUTRAL,
+                           radius=math.exp(log_radius), word=word)
 
 
 # ---------------------------------------------------------------------------
@@ -403,70 +438,6 @@ def build_shear_block_system(
 
 
 # ---------------------------------------------------------------------------
-# extremal norm estimation
-
-
-@dataclass
-class NormTable:
-    """Max of ||S_w v|| over all words up to the horizon, per probe vector.
-
-    ``stabilization`` is the largest relative increase any probe saw going
-    from horizon - 1 to horizon; a small value suggests the maxima have
-    stopped moving.
-    """
-
-    probes: tuple[np.ndarray, ...]
-    values: tuple[float, ...]
-    stabilization: float
-    horizon: int
-    truncated: bool
-
-
-def extremal_norm_estimate(
-    system: MatrixSystem,
-    probes,
-    horizon: int = 12,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> NormTable:
-    """Evaluate v -> max over |w| <= horizon of ||S_w v|| at each probe.
-
-    The empty word is included, so every value is at least ||v||.  Most
-    informative on systems normalized so the joint spectral radius is close
-    to 1; then the values approximate an extremal norm at the probes.
-    """
-    horizon = require_int(horizon, 1, "horizon must be a positive integer")
-    probe_list = [np.asarray(p, dtype=float).reshape(-1) for p in probes]
-    if not probe_list:
-        raise InvalidInputError("at least one probe vector is required")
-    for p in probe_list:
-        if p.shape != (system.dim,):
-            raise InvalidInputError("probe dimension does not match the system")
-        if not np.all(np.isfinite(p)):
-            raise InvalidInputError("probe vectors must be finite")
-    k = system.alphabet_size
-    h_eff = _feasible_depth(k, horizon, budget)
-    pmat = np.column_stack(probe_list)  # dim x n_probes
-    n_probes = pmat.shape[1]
-    best = np.zeros((h_eff + 1, n_probes))
-    best[0] = np.linalg.norm(pmat, axis=0)
-    for symbols, images in word_tree(system.generators, h_eff, pmat):
-        depth = len(symbols)
-        np.maximum(best[depth], np.linalg.norm(images, axis=0), out=best[depth])
-    cumulative = np.maximum.accumulate(best, axis=0)
-    final = cumulative[h_eff]
-    previous = cumulative[h_eff - 1] if h_eff >= 1 else final
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(previous > 0.0, (final - previous) / previous, 0.0)
-    return NormTable(
-        probes=tuple(p.copy() for p in probe_list),
-        values=tuple(float(v) for v in final),
-        stabilization=float(np.max(rel)),
-        horizon=h_eff,
-        truncated=h_eff < horizon,
-    )
-
-
-# ---------------------------------------------------------------------------
 # irreducibility and invariant subspaces
 
 
@@ -652,6 +623,7 @@ def lyapunov_mc(
     """
     samples = require_int(samples, 1, "samples must be a positive integer")
     horizon = require_int(horizon, 1, "horizon must be a positive integer")
+    seed = require_int(seed, 0, "seed must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     rates = np.empty(samples)
     for i in range(samples):
@@ -666,6 +638,6 @@ def lyapunov_mc(
         stderr=stderr,
         samples=samples,
         horizon=horizon,
-        seed=int(seed),
+        seed=seed,
     )
 

@@ -6,7 +6,7 @@ constructed alternating schedules, explicit prefixes) all extend to infinity
 by a documented convention so that evaluation never runs off the end.
 
 Also provided: finite words, the weighted-disagreement metric on laws, the
-necklace test behind the stability sweep, and run-length profiling.
+necklace test behind the stability sweep.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from __future__ import annotations
 import abc
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import InvalidInputError, require_int
+from .errors import InvalidInputError, _require, require_int
 
 # Truncation depth for the law metric; 2**-53 is below double resolution
 # relative to the leading term, so longer tails cannot change comparisons.
@@ -403,82 +403,36 @@ def _prenecklace_period(symbols) -> int:
     return period
 
 
-@dataclass
-class RunProfile:
-    """Longest constant runs per symbol inside consecutive windows.
-
-    ``windows`` maps each window start time to {symbol: longest run fully
-    inside the window}; every alphabet symbol appears, with 0 when absent.
-    """
-
-    horizon: int
-    window_width: int
-    windows: list[tuple[int, dict[int, int]]] = field(default_factory=list)
-
-
-def run_profile(law: SwitchingLaw, horizon: int, window_width: int) -> RunProfile:
-    """Profile constant runs of ``law`` in windows of stride ``window_width``."""
-    message = "need integers horizon >= window width >= 1"
-    window_width = require_int(window_width, 1, message)
-    horizon = require_int(horizon, window_width, message)
-    seq = law.sequence(horizon)
-    profile = RunProfile(horizon=horizon, window_width=window_width)
-    start = 1
-    while start + window_width - 1 <= horizon:
-        chunk = seq[start - 1 : start - 1 + window_width]
-        runs = {sym: 0 for sym in range(1, law.alphabet_size + 1)}
-        run_sym, run_len = chunk[0], 0
-        for sym in chunk:
-            if sym == run_sym:
-                run_len += 1
-            else:
-                runs[run_sym] = max(runs[run_sym], run_len)
-                run_sym, run_len = sym, 1
-        runs[run_sym] = max(runs[run_sym], run_len)
-        profile.windows.append((start, runs))
-        start += window_width
-    return profile
-
-
 def law_to_spec(law: SwitchingLaw) -> dict:
     """JSON-ready dictionary describing ``law``; inverse of law_from_spec."""
     return law.spec_dict()
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidInputError(message)
-
-
 def law_from_spec(spec: dict) -> SwitchingLaw:
     """Build a law from its dictionary form, validating every field."""
-    _require(isinstance(spec, dict), "law spec must be an object")
+    _require(lambda v: isinstance(v, dict), spec, "law spec must be an object")
     kind = spec.get("type")
-    _require(isinstance(kind, str), "law spec needs a string 'type'")
+    _require(lambda v: isinstance(v, str), kind, "law spec needs a string 'type'")
     alphabet = spec.get("alphabet", 2 if kind == "doubling" else None)
-    _require(
-        isinstance(alphabet, int) and not isinstance(alphabet, bool) and alphabet >= 1,
-        "law spec field 'alphabet' must be a positive integer",
-    )
+    _require(lambda v: isinstance(v, int) and v >= 1, alphabet,
+             "law spec field 'alphabet' must be a positive integer")
 
     def word_field(name: str, allow_empty: bool) -> Word:
         raw = spec.get(name)
-        _require(isinstance(raw, list), f"law spec field '{name}' must be a list")
+        _require(lambda v: isinstance(v, list), raw, f"law spec field '{name}' must be a list")
         if not allow_empty:
-            _require(len(raw) > 0, f"law spec field '{name}' must be nonempty")
+            _require(lambda v: len(v) > 0, raw, f"law spec field '{name}' must be nonempty")
         for s in raw:
-            _require(
-                isinstance(s, int) and not isinstance(s, bool) and 1 <= s <= alphabet,
-                f"law spec field '{name}' has symbol {s!r} outside 1..{alphabet}",
-            )
+            _require(lambda v: isinstance(v, int) and 1 <= v <= alphabet, s,
+                     f"law spec field '{name}' has symbol {s!r} outside 1..{alphabet}")
         return Word(tuple(raw), alphabet)
 
     def pairs_field(name: str, shape: str) -> list:
         raw = spec.get(name)
-        _require(isinstance(raw, list) and len(raw) > 0,
+        _require(lambda v: isinstance(v, list) and len(v) > 0, raw,
                  f"law spec field '{name}' must be a nonempty list")
         for entry in raw:
-            _require(isinstance(entry, list) and len(entry) == 2,
+            _require(lambda v: isinstance(v, list) and len(v) == 2, entry,
                      f"law spec field '{name}' entries must be {shape} pairs")
         return [tuple(entry) for entry in raw]
 
@@ -491,7 +445,7 @@ def law_from_spec(spec: dict) -> SwitchingLaw:
     if kind == "blocks":
         return BlockLaw(pairs_field("blocks", "[symbol, length]"), alphabet)
     if kind == "doubling":
-        _require(alphabet == 2, "doubling laws use alphabet 2")
+        _require(lambda v: v == 2, alphabet, "doubling laws use alphabet 2")
         return doubling_law()
     if kind == "constructed":
         prefix = word_field("prefix", allow_empty=True)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from chaoslab import (
+    CONTRACTING,
+    EXPANDING_OR_NEUTRAL,
     BudgetExceededError,
     InvalidInputError,
     MatrixSystem,
@@ -21,7 +23,6 @@ from chaoslab import (
     simulate,
     verify_witness,
 )
-from chaoslab.chaos import CONTRACTING, EXPANDING_OR_NEUTRAL
 
 LN2 = math.log(2.0)
 

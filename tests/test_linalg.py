@@ -235,6 +235,29 @@ def test_log_scaled_co_norm_of_singular_product():
     assert state.log_co_norm == -math.inf
 
 
+@pytest.mark.parametrize("unit, log_scale", [
+    ([[math.nan, 0.0], [0.0, 1.0]], 0.0),
+    ([[math.inf, 0.0], [0.0, 1.0]], 0.0),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 0.0),
+    (np.zeros((0, 0)), 0.0),
+    (np.eye(2), math.nan),
+    (np.eye(2), -math.inf),
+    (np.eye(2), True),
+    (np.eye(2), "0"),
+], ids=["nan-unit", "inf-unit", "non-square", "empty", "nan-scale", "inf-scale", "bool-scale",
+        "str-scale"])
+def test_log_scaled_constructor_rejects_bad_parts(unit, log_scale):
+    with pytest.raises(InvalidInputError):
+        LogScaledMatrix(unit=np.array(unit, dtype=float), log_scale=log_scale)
+
+
+def test_log_scaled_constructor_accepts_finite_square_parts():
+    m = LogScaledMatrix(unit=[[2.0, 0.0], [0.0, 1.0]], log_scale=1.0)
+    assert m.log_op_norm == pytest.approx(1.0 + math.log(2.0), abs=1e-15)
+    assert m.log_spectral_radius == pytest.approx(1.0 + math.log(2.0), abs=1e-15)
+    assert not m.unit.flags.writeable
+
+
 def test_log_scaled_unit_is_read_only():
     state = LogScaledMatrix.identity(2)
     with pytest.raises(ValueError):

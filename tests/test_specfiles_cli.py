@@ -296,6 +296,12 @@ def test_cli_lyapunov(diag_file, capsys):
     assert "lyapunov estimate" in capsys.readouterr().out
 
 
+def test_cli_lyapunov_negative_seed_exit_code(diag_file, capsys):
+    rc = main(["lyapunov", "--system", diag_file, "--seed", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: seed must be a nonnegative integer")
+
+
 def test_cli_invalid_system_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{")

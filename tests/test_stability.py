@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chaoslab import (
+    CONTRACTING,
     BudgetExceededError,
     InvalidInputError,
     MatrixSystem,
@@ -12,7 +13,6 @@ from chaoslab import (
     build_shear_block_system,
     classify_periodic,
     decay_check,
-    extremal_norm_estimate,
     growth_curve,
     growth_verdict,
     irreducibility,
@@ -81,8 +81,6 @@ def test_tree_search_budgets_are_validated(shear06, budget):
         periodic_stability(shear06, 3, budget=budget)
     with pytest.raises(InvalidInputError):
         growth_curve(shear06, 3, budget=budget)
-    with pytest.raises(InvalidInputError):
-        extremal_norm_estimate(shear06, [np.ones(2)], 3, budget=budget)
 
 
 def test_stability_zero_budget_checks_nothing(shear06):
@@ -121,6 +119,21 @@ def test_normalized_radius_is_rotation_invariant(shear06):
         ra = a.log_scale + math.log(spectral_radius(a.unit))
         rb = b.log_scale + math.log(spectral_radius(b.unit))
         assert ra == pytest.approx(rb, abs=1e-9)
+
+
+@pytest.mark.parametrize("r, contracting", [
+    (1.0 - 1e-8, True),
+    (1.0 - 1e-10, False),  # below 1 - 1e-12, not below 1 - DEFAULT_STABILITY_TOL
+    (1.0 - 1e-13, False),
+])
+def test_contraction_rule_agrees_across_analyses(r, contracting):
+    system = MatrixSystem([r * np.eye(2), r * np.eye(2)])
+    for symbols in [(1,), (1, 2)]:
+        verdict = classify_periodic(system, Word(symbols, 2))
+        assert (verdict.kind == CONTRACTING) is contracting
+    assert periodic_stability(system, 2).stable is contracting
+    law = PeriodicLaw(Word((1, 2), 2))
+    assert (decay_check(system, law, horizon=8).warning is None) is contracting
 
 
 # ---------------------------------------------------------------------------
@@ -312,33 +325,6 @@ def test_block_product_identity():
 
 
 # ---------------------------------------------------------------------------
-# extremal norm
-
-
-def test_extremal_norm_normalized_pair(shear06_normalized):
-    probes = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    table = extremal_norm_estimate(shear06_normalized, probes, horizon=12)
-    # generators have operator norm exactly 1: nothing beats the empty word
-    assert table.values == (pytest.approx(1.0, abs=1e-12),) * 2
-    assert table.stabilization == pytest.approx(0.0, abs=1e-12)
-
-
-def test_extremal_norm_expanding_probe(diag_pair):
-    table = extremal_norm_estimate(diag_pair, [np.array([1.0, 0.0])], horizon=5)
-    assert table.values[0] == pytest.approx(32.0, abs=1e-9)  # 2^5
-    assert table.stabilization == pytest.approx(1.0, abs=1e-12)
-
-
-def test_extremal_norm_validation(diag_pair):
-    with pytest.raises(InvalidInputError):
-        extremal_norm_estimate(diag_pair, [], horizon=3)
-    with pytest.raises(InvalidInputError):
-        extremal_norm_estimate(diag_pair, [np.ones(3)], horizon=3)
-    with pytest.raises(InvalidInputError):
-        extremal_norm_estimate(diag_pair, [np.array([np.inf, 0.0])], horizon=3)
-
-
-# ---------------------------------------------------------------------------
 # irreducibility and the probe
 
 
@@ -433,6 +419,12 @@ def test_lyapunov_validation(diag_pair):
         lyapunov_mc(diag_pair, samples=0)
     with pytest.raises(InvalidInputError):
         lyapunov_mc(diag_pair, horizon=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, None, "3"])
+def test_lyapunov_seed_is_validated(diag_pair, seed):
+    with pytest.raises(InvalidInputError, match="seed must be a nonnegative integer"):
+        lyapunov_mc(diag_pair, samples=2, horizon=5, seed=seed)
 
 
 # ---------------------------------------------------------------------------

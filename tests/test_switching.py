@@ -21,7 +21,6 @@ from chaoslab import (
     law_metric,
     law_to_spec,
     necklace_log_radii,
-    run_profile,
 )
 
 # Necklace counts for a binary alphabet, lengths 1..10.
@@ -356,22 +355,6 @@ def test_necklaces_cover_all_words_up_to_rotation():
             for i in range(5):
                 reps.add(tup[i:] + tup[:i])
     assert reps == set(itertools.product((1, 2), repeat=5))
-
-
-# ---------------------------------------------------------------------------
-# run profiles
-
-
-def test_run_profile_doubling():
-    prof = run_profile(doubling_law(), horizon=14, window_width=7)
-    assert prof.windows == [(1, {1: 2, 2: 4}), (8, {1: 7, 2: 0})]
-
-
-def test_run_profile_partial_window_dropped():
-    prof = run_profile(PeriodicLaw(Word((1, 2), 2)), horizon=10, window_width=4)
-    assert len(prof.windows) == 2  # the trailing 2 symbols do not form a window
-    for _, runs in prof.windows:
-        assert runs == {1: 1, 2: 1}
 
 
 # ---------------------------------------------------------------------------
