@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetExceededError, InvalidInputError, require_fraction, require_int,
-                     require_positive)
+from .errors import (BudgetExceededError, InvalidInputError, _require, require_fraction,
+                     require_int, require_positive)
 from .linalg import (
     ABS_TOL,
     SINGULARITY_RTOL,
@@ -34,6 +34,9 @@ DEFAULT_SEARCH_BUDGET = 1 << 22
 
 # Application cap for the greedy exponent search.
 DEFAULT_GREEDY_BUDGET = 10 ** 6
+
+# Step cap for simulate's horizon.
+SIMULATE_BUDGET = 10 ** 7
 
 # Certified strict inequalities must hold with this log-space margin.
 LOG_MARGIN = 1e-9
@@ -98,6 +101,11 @@ class MatrixSystem:
     def word(self, symbols) -> Word:
         return Word(tuple(symbols), self.alphabet_size)
 
+    def _require_alphabet(self, item, what: str) -> None:
+        """Refuse ``item``, a word or law, unless its alphabet is the system's."""
+        _require(lambda v: v.alphabet_size == self.alphabet_size, item,
+                 f"{what} alphabet does not match the system")
+
     def __repr__(self) -> str:
         return f"MatrixSystem(dim={self._dim}, generators={len(self._generators)})"
 
@@ -146,8 +154,7 @@ def verify_witness(system: MatrixSystem, contract_word: Word, expand_word: Word,
     """
     tol = require_fraction(tol, "tol must lie in [0, 1)")
     for name, word in (("contracting", contract_word), ("expanding", expand_word)):
-        if word.alphabet_size != system.alphabet_size:
-            raise InvalidInputError(f"{name} word alphabet does not match the system")
+        system._require_alphabet(word, f"{name} word")
         if len(word) == 0:
             raise InvalidInputError(f"{name} word must be nonempty")
     top = math.exp(system.word_product(contract_word).log_op_norm)
@@ -294,8 +301,7 @@ def construct_chaotic_law(system: MatrixSystem, witness: WitnessPair, target_pre
     """
     k_max = require_int(k_max, 0, "k_max must be a nonnegative integer")
     margin = require_positive(margin, "margin must be a positive finite number")
-    if target_prefix.alphabet_size != system.alphabet_size:
-        raise InvalidInputError("target prefix alphabet does not match the system")
+    system._require_alphabet(target_prefix, "target prefix")
     check = verify_witness(system, witness.contracting, witness.expanding, tol=0.0)
     if isinstance(check, Refusal):
         raise InvalidInputError(f"stale witness: {check.message}")
@@ -378,8 +384,7 @@ def recheck_certificate(system: MatrixSystem, cert: ChaosCertificate) -> bool:
     co-norm clears its threshold with the certificate's margin.  A margin
     that is not a positive finite number certifies nothing.
     """
-    if cert.prefix.alphabet_size != system.alphabet_size:
-        raise InvalidInputError("certificate alphabet does not match the system")
+    system._require_alphabet(cert.prefix, "certificate")
     try:
         require_positive(cert.margin, "margin must be a positive finite number")
     except InvalidInputError:
@@ -422,17 +427,16 @@ class Trajectory:
         return self.log_magnitudes / math.log(10.0)
 
 
-def simulate(system: MatrixSystem, law: SwitchingLaw, x0, horizon: int,
-             budget: int = 10 ** 7) -> Trajectory:
-    """Apply the law's generators to x0 for ``horizon`` steps in log scale."""
-    if law.alphabet_size != system.alphabet_size:
-        raise InvalidInputError("law alphabet does not match the system")
+def simulate(system: MatrixSystem, law: SwitchingLaw, x0, horizon: int) -> Trajectory:
+    """Apply the law's generators to x0 for ``horizon`` steps in log scale;
+    a horizon past SIMULATE_BUDGET steps is refused as a budget error."""
+    system._require_alphabet(law, "law")
     horizon = require_int(horizon, 0, "horizon must be a nonnegative integer")
-    if horizon > budget:
+    if horizon > SIMULATE_BUDGET:
         raise BudgetExceededError(
-            f"horizon {horizon} exceeds the step budget {budget}",
+            f"horizon {horizon} exceeds the step budget {SIMULATE_BUDGET}",
             spent=0,
-            budget=budget,
+            budget=SIMULATE_BUDGET,
         )
     x = np.asarray(x0, dtype=float)
     if x.shape != (system.dim,):
@@ -457,65 +461,3 @@ def simulate(system: MatrixSystem, law: SwitchingLaw, x0, horizon: int,
             logs[idx] = log_mag
     return Trajectory(x0=x, symbols=syms, units=units, log_magnitudes=logs,
                       zero_input=zero_input)
-
-
-@dataclass(frozen=True)
-class CrossingEntry:
-    k: int
-    time_below: int | None
-    time_above: int | None
-
-
-@dataclass
-class CrossingTable:
-    """Earliest times the running product clears 1/k and k thresholds.
-
-    Norms are matrix-level: a time with op-norm below 1/k bounds every
-    orbit's magnitude ratio from above, and co-norm above k bounds every
-    orbit from below, so each crossing transfers to all nonzero states.
-    """
-
-    entries: tuple[CrossingEntry, ...]
-    k_max: int
-    horizon: int
-    margin: float
-
-    @property
-    def all_reached(self) -> bool:
-        return all(e.time_below is not None and e.time_above is not None
-                   for e in self.entries)
-
-    def entry(self, k: int) -> CrossingEntry:
-        return self.entries[k - 1]
-
-
-def chaos_scan(system: MatrixSystem, law: SwitchingLaw, k_max: int, horizon: int,
-               margin: float = LOG_MARGIN) -> CrossingTable:
-    """Walk the running product and record first crossings for k = 1..k_max."""
-    if law.alphabet_size != system.alphabet_size:
-        raise InvalidInputError("law alphabet does not match the system")
-    k_max = require_int(k_max, 1, "k_max must be a positive integer")
-    horizon = require_int(horizon, 1, "horizon must be a positive integer")
-    margin = require_positive(margin, "margin must be a positive finite number")
-    low_targets = [-math.log(k) - margin for k in range(1, k_max + 1)]
-    high_targets = [math.log(k) + margin for k in range(1, k_max + 1)]
-    below: list[int | None] = [None] * k_max
-    above: list[int | None] = [None] * k_max
-    pending = 2 * k_max
-    for n, prod in enumerate(walk(system.generators, law.sequence(horizon)), start=1):
-        lo = prod.log_op_norm
-        hi = prod.log_co_norm
-        for k_idx in range(k_max):
-            if below[k_idx] is None and lo <= low_targets[k_idx]:
-                below[k_idx] = n
-                pending -= 1
-            if above[k_idx] is None and hi >= high_targets[k_idx]:
-                above[k_idx] = n
-                pending -= 1
-        if pending == 0:
-            break
-    entries = tuple(
-        CrossingEntry(k=k_idx + 1, time_below=below[k_idx], time_above=above[k_idx])
-        for k_idx in range(k_max)
-    )
-    return CrossingTable(entries=entries, k_max=k_max, horizon=horizon, margin=margin)

@@ -14,13 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NonConvergenceError, _require
+from .errors import InvalidInputError, NonConvergenceError, _require, require_int
 
 # Absolute tolerance for scalar threshold comparisons throughout the package.
 ABS_TOL = 1e-12
 
 # A matrix counts as singular when co_norm falls below this multiple of op_norm.
 SINGULARITY_RTOL = 1e-12
+
+# Band for the 2x2 closed forms' quadratic scale: the Gram trace g11 + g22
+# for singular values, tr^2 + |det| for the spectral radius.  Inside it no
+# squared intermediate overflows or loses accuracy to underflow; outside it
+# LAPACK decides.
+_CLOSED_LO = 2.0 ** -480
+_CLOSED_HI = 2.0 ** 480
 
 # Renormalization band for LogScaledMatrix units.
 _BAND_LO = 0.5
@@ -46,7 +53,8 @@ def _singular_extremes(a: np.ndarray) -> tuple[float, float]:
     The 2x2 case is closed-form: the Gram matrix A^T A has eigenvalue
     lam_max = (t + sqrt((g11-g22)^2 + 4 g12^2)) / 2 with t = trace, computed
     without cancellation, and sigma_min = |det A| / sigma_max, which avoids
-    subtracting nearly equal Gram eigenvalues.
+    subtracting nearly equal Gram eigenvalues.  A finite 2x2 whose Gram
+    trace t leaves the closed forms' band goes to the SVD.
     """
     d = a.shape[0]
     if d == 1:
@@ -56,14 +64,16 @@ def _singular_extremes(a: np.ndarray) -> tuple[float, float]:
         (a00, a01), (a10, a11) = a.tolist()
         g11 = a00 * a00 + a10 * a10
         g22 = a01 * a01 + a11 * a11
-        g12 = a00 * a01 + a10 * a11
-        diff = g11 - g22
-        disc = math.sqrt(max(diff * diff + 4.0 * g12 * g12, 0.0))
-        lam_max = (g11 + g22 + disc) / 2.0
-        smax = math.sqrt(max(lam_max, 0.0))
-        det = a00 * a11 - a01 * a10
-        smin = abs(det) / smax if smax > 0.0 else 0.0
-        return smax, min(smin, smax)
+        t = g11 + g22
+        # Non-finite entries (an overflowed raw product) stay on the closed
+        # form, which reads them as inf or nan where LAPACK would raise.
+        if _CLOSED_LO <= t <= _CLOSED_HI or not np.isfinite(a).all():
+            g12 = a00 * a01 + a10 * a11
+            diff = g11 - g22
+            disc = math.sqrt(diff * diff + 4.0 * g12 * g12)
+            smax = math.sqrt((t + disc) / 2.0)
+            det = a00 * a11 - a01 * a10
+            return smax, min(abs(det) / smax, smax)
     s = np.linalg.svd(a, compute_uv=False)
     return float(s[0]), float(s[-1])
 
@@ -92,8 +102,9 @@ def _spectral_radius(a: np.ndarray) -> float:
 
     d = 1 and d = 2 use exact closed forms (for d = 2 the max root modulus
     of lambda^2 - tr lambda + det is (|tr| + sqrt(max(tr^2 - 4 det, 0))) / 2
-    for real spectra and sqrt(det) for complex pairs).  Larger d uses
-    LAPACK's balanced QR eigenvalue solver.
+    for real spectra and sqrt(det) for complex pairs) while tr^2 + |det|
+    lies in the closed forms' band.  Other matrices use LAPACK's balanced QR
+    eigenvalue solver.
     """
     d = a.shape[0]
     if d == 1:
@@ -102,11 +113,12 @@ def _spectral_radius(a: np.ndarray) -> float:
         (a00, a01), (a10, a11) = a.tolist()
         tr = a00 + a11
         det = a00 * a11 - a01 * a10
-        disc = tr * tr - 4.0 * det
-        if disc >= 0.0:
-            return (abs(tr) + math.sqrt(disc)) / 2.0
-        # Complex conjugate pair: |lambda|^2 = det > 0.
-        return math.sqrt(det)
+        if _CLOSED_LO <= tr * tr + abs(det) <= _CLOSED_HI:
+            disc = tr * tr - 4.0 * det
+            if disc >= 0.0:
+                return (abs(tr) + math.sqrt(disc)) / 2.0
+            # Complex conjugate pair: |lambda|^2 = det > 0.
+            return math.sqrt(det)
     try:
         w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
@@ -149,8 +161,7 @@ class LogScaledMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "LogScaledMatrix":
-        if dim < 1:
-            raise InvalidInputError("dimension must be at least 1")
+        dim = require_int(dim, 1, "dimension must be at least 1")
         return cls._trusted(np.eye(dim), 0.0)
 
     @classmethod

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, require_int
+from .errors import require_int
 from .linalg import walk
 from .stability import periodic_stability
 from .switching import SwitchingLaw
@@ -129,8 +129,7 @@ def decay_check(system, law: SwitchingLaw, horizon: int) -> DecayReport:
     report names the worst one in a warning instead of refusing, since the
     measurement itself is still well defined.
     """
-    if law.alphabet_size != system.alphabet_size:
-        raise InvalidInputError("law alphabet does not match the system")
+    system._require_alphabet(law, "law")
     horizon = require_int(horizon, 4, "horizon must be an integer >= 4")
     warning = None
     periodic = periodic_stability(system, _QUICK_STABILITY_LEN)

@@ -160,8 +160,7 @@ def classify_periodic(system: MatrixSystem, word: Word) -> PeriodicVerdict:
     dominant eigendirection do not decay, which rules the law out as chaotic
     but leaves it expanding or neutral.  ``radius`` is rho(S_w) itself.
     """
-    if word.alphabet_size != system.alphabet_size:
-        raise InvalidInputError("word alphabet does not match the system")
+    system._require_alphabet(word, "word")
     if len(word) == 0:
         raise InvalidInputError("the periodic word must be nonempty")
     log_radius = system.word_product(word).log_spectral_radius
@@ -315,9 +314,6 @@ class GrowthCurve:
     n_max: int
     truncated: bool
 
-    def max_norms(self) -> np.ndarray:
-        return np.exp(self.log_max_norms)
-
     def fitted_exponent(self, even_only: bool = False) -> float:
         """Least-squares slope of log max-norm against log n over the upper
         half of the curve, n in [ceil(n_max / 2), n_max].  For polynomially
@@ -405,7 +401,7 @@ def growth_verdict(curve: GrowthCurve) -> str:
 
 
 # ---------------------------------------------------------------------------
-# block shear construction
+# the shear pair
 
 
 def shear_pair(alpha: float, beta: float, scale: float = 1.0) -> MatrixSystem:
@@ -417,24 +413,6 @@ def shear_pair(alpha: float, beta: float, scale: float = 1.0) -> MatrixSystem:
     f1 = scale * alpha * np.array([[1.0, 1.0], [0.0, 1.0]])
     f2 = scale * beta * np.array([[1.0, 0.0], [1.0, 1.0]])
     return MatrixSystem([f1, f2])
-
-
-def build_shear_block_system(
-    alpha: float, beta: float, scale: float = 1.0
-) -> MatrixSystem:
-    """Two 4x4 generators [[F, F], [0, F]] built over the shear pair.
-
-    Products inherit the block shape [[P, n P], [0, P]] where P is the
-    corresponding shear-pair product of length n, so norms grow linearly
-    in n whenever the P stay bounded above and below.
-    """
-    base = shear_pair(alpha, beta, scale).generators
-    blocks = []
-    for f in base:
-        top = np.hstack([f, f])
-        bottom = np.hstack([np.zeros((2, 2)), f])
-        blocks.append(np.vstack([top, bottom]))
-    return MatrixSystem(blocks)
 
 
 # ---------------------------------------------------------------------------

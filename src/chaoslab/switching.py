@@ -51,17 +51,6 @@ class Word:
     def __getitem__(self, idx):
         return self.symbols[idx]
 
-    def times(self, count: int) -> "Word":
-        """The word repeated ``count`` times (count >= 0)."""
-        if count < 0:
-            raise InvalidInputError("repetition count must be nonnegative")
-        return Word(self.symbols * count, self.alphabet_size)
-
-    def __add__(self, other: "Word") -> "Word":
-        if other.alphabet_size != self.alphabet_size:
-            raise InvalidInputError("cannot concatenate words over different alphabets")
-        return Word(self.symbols + other.symbols, self.alphabet_size)
-
     def text(self) -> str:
         """Dash-joined rendering, e.g. ``1-2-2``; empty word gives ''."""
         return "-".join(str(s) for s in self.symbols)
@@ -92,11 +81,6 @@ class SwitchingLaw(abc.ABC):
                 return symbols[(n - 1) % len(symbols)]
             n -= span
 
-    def shift(self, steps: int = 1) -> "SwitchingLaw":
-        """The law with the first ``steps`` symbols dropped."""
-        steps = require_int(steps, 0, "shift steps must be a nonnegative integer")
-        return _ShiftedLaw(self, steps) if steps else self
-
     def sequence(self, horizon: int) -> list[int]:
         """Symbols at times 1..horizon as a list."""
         horizon = require_int(horizon, 0, "horizon must be a nonnegative integer")
@@ -109,35 +93,9 @@ class SwitchingLaw(abc.ABC):
         del out[horizon:]
         return out
 
+    @abc.abstractmethod
     def spec_dict(self) -> dict:
-        """JSON-ready description; raises for laws with no file form."""
-        raise InvalidInputError(f"{type(self).__name__} has no file representation")
-
-
-class _ShiftedLaw(SwitchingLaw):
-    """View of another law with the first ``offset`` symbols dropped."""
-
-    def __init__(self, base: SwitchingLaw, offset: int):
-        self._base = base
-        self._offset = offset
-
-    @property
-    def alphabet_size(self) -> int:
-        return self._base.alphabet_size
-
-    def _segments(self):
-        skip = self._offset
-        for symbols, count in self._base._segments():
-            if skip >= len(symbols) * count:
-                skip -= len(symbols) * count
-                continue
-            whole, part = divmod(skip, len(symbols))
-            skip = 0
-            if part:
-                yield symbols[part:], 1
-                whole += 1
-            if count > whole:
-                yield symbols, count - whole
+        """JSON-ready description; ``law_from_spec`` rebuilds the law from it."""
 
 
 class PeriodicLaw(SwitchingLaw):
@@ -222,64 +180,37 @@ class ExplicitLaw(SwitchingLaw):
         }
 
 
-def _block(sym, length, alphabet_size: int, message: str) -> tuple[int, int]:
-    """A validated (symbol, length) block."""
-    sym = require_int(sym, 1, message)
-    if sym > alphabet_size:
-        raise InvalidInputError(message)
-    return sym, require_int(length, 1, message)
-
-
 class BlockLaw(SwitchingLaw):
-    """Constant runs given by (symbol, length) blocks, plus an optional rule.
+    """Constant runs given by a nonempty list of (symbol, length) blocks.
 
-    The rule, when present, supplies block m (1-based) for every m past the
-    explicit list, so the law is total.  Without a rule the final block's
-    symbol repeats forever, mirroring the explicit-law fallback convention.
+    The final block's symbol repeats forever, mirroring the explicit-law
+    fallback convention, so the law is total.
     """
 
-    def __init__(self, blocks, alphabet_size: int, rule=None, rule_name: str | None = None):
+    def __init__(self, blocks, alphabet_size: int):
         alphabet_size = require_int(alphabet_size, 1,
                                     "alphabet size must be an integer of at least 1")
-        clean = tuple(
-            _block(sym, length, alphabet_size, f"invalid block ({sym!r}, {length!r}): "
-                   f"symbols lie in 1..{alphabet_size} and lengths are at least 1")
-            for sym, length in blocks
-        )
-        if not clean and rule is None:
-            raise InvalidInputError("a block law needs blocks or a generating rule")
-        self._blocks = clean
-        self._rule = rule
-        self._rule_name = rule_name
+        clean = []
+        for sym, length in blocks:
+            message = (f"invalid block ({sym!r}, {length!r}): "
+                       f"symbols lie in 1..{alphabet_size} and lengths are at least 1")
+            sym = _require(lambda v: int(v) == v and 1 <= v <= alphabet_size, sym, message)
+            clean.append((int(sym), require_int(length, 1, message)))
+        if not clean:
+            raise InvalidInputError("a block law needs at least one block")
+        self._blocks = tuple(clean)
         self._alphabet = alphabet_size
 
     def _segments(self):
         for sym, length in self._blocks:
             yield (sym,), length
-        if self._rule is None:
-            yield (self._blocks[-1][0],), math.inf
-            return
-        for m in itertools.count(len(self._blocks) + 1):
-            sym, length = self._rule(m)
-            sym, length = _block(sym, length, self._alphabet,
-                                 f"rule produced invalid block ({sym}, {length})")
-            yield (sym,), length
+        yield (self._blocks[-1][0],), math.inf
 
     @property
     def alphabet_size(self) -> int:
         return self._alphabet
 
-    @property
-    def blocks(self) -> tuple[tuple[int, int], ...]:
-        return self._blocks
-
     def spec_dict(self) -> dict:
-        if self._rule_name == "doubling":
-            return {"type": "doubling", "alphabet": self.alphabet_size}
-        if self._rule is not None:
-            raise InvalidInputError(
-                "block laws with a custom rule have no file representation"
-            )
         return {
             "type": "blocks",
             "alphabet": self.alphabet_size,
@@ -287,18 +218,28 @@ class BlockLaw(SwitchingLaw):
         }
 
 
-def doubling_law() -> BlockLaw:
+class _DoublingLaw(SwitchingLaw):
+    """The law ``doubling_law`` returns."""
+
+    @property
+    def alphabet_size(self) -> int:
+        return 2
+
+    def _segments(self):
+        for m in itertools.count(1):
+            yield (1 if m % 2 else 2,), 2 ** m
+
+    def spec_dict(self) -> dict:
+        return {"type": "doubling", "alphabet": 2}
+
+
+def doubling_law() -> SwitchingLaw:
     """Alternating blocks over {1, 2} with block m of length 2**m.
 
     Block 1 is two 1s, block 2 is four 2s, block 3 is eight 1s, and so on;
     run lengths double forever, so each symbol recurs with ever longer runs.
     """
-    return BlockLaw(
-        blocks=[],
-        alphabet_size=2,
-        rule=lambda m: (1 if m % 2 == 1 else 2, 2 ** m),
-        rule_name="doubling",
-    )
+    return _DoublingLaw()
 
 
 class ConstructedLaw(SwitchingLaw):

@@ -43,6 +43,18 @@ def single_shear():
     return MatrixSystem([np.array([[1.0, 1.0], [0.0, 1.0]])])
 
 
+def shear_block_system(alpha, beta, scale=1.0):
+    """Two 4x4 generators [[F, F], [0, F]] over the shear pair's F.
+
+    Products take the block shape [[P, n P], [0, P]] with P the shear-pair
+    product of length n, so norms grow linearly in n while the P stay
+    bounded above and below.
+    """
+    zero = np.zeros((2, 2))
+    return MatrixSystem([np.block([[f, f], [zero, f]])
+                         for f in shear_pair(alpha, beta, scale).generators])
+
+
 def random_invertible(rng, dim, spread=1.0):
     """A random matrix resampled until comfortably nonsingular."""
     while True:

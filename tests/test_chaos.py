@@ -13,9 +13,9 @@ from chaoslab import (
     Refusal,
     Word,
     certificate_law,
-    chaos_scan,
     classify_periodic,
     construct_chaotic_law,
+    decay_check,
     find_witness,
     law_metric,
     recheck_certificate,
@@ -278,8 +278,22 @@ def test_recheck_rejects_foreign_alphabet(diag_pair):
     three = MatrixSystem([np.eye(2), np.diag([0.5, 0.5]), np.diag([2.0, 2.0])])
     pair = verify_witness(three, Word((2,), 3), Word((3,), 3))
     cert, _ = construct_chaotic_law(three, pair, Word((), 3), 2)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^certificate alphabet does not match"):
         recheck_certificate(diag_pair, cert)
+    # every analysis refuses a word or law over another alphabet
+    foreign, law = Word((1,), 3), certificate_law(cert)
+    calls = [
+        ("contracting word", lambda: verify_witness(diag_pair, foreign, Word((2,), 2))),
+        ("expanding word", lambda: verify_witness(diag_pair, Word((1,), 2), foreign)),
+        ("target prefix", lambda: construct_chaotic_law(diag_pair, _diag_witness(diag_pair),
+                                                        foreign, 1)),
+        ("law", lambda: simulate(diag_pair, law, [1.0, 0.0], 5)),
+        ("law", lambda: decay_check(diag_pair, law, 8)),
+        ("word", lambda: classify_periodic(diag_pair, foreign)),
+    ]
+    for what, call in calls:
+        with pytest.raises(InvalidInputError, match=f"^{what} alphabet does not match the system$"):
+            call()
 
 
 def test_construct_density(diag_pair):
@@ -326,9 +340,6 @@ def test_margin_must_be_positive_and_finite(diag_pair, margin):
     pair = _diag_witness(diag_pair)
     with pytest.raises(InvalidInputError, match="margin must be a positive finite number"):
         construct_chaotic_law(diag_pair, pair, Word((), 2), 3, margin=margin)
-    _, law = construct_chaotic_law(diag_pair, pair, Word((), 2), 3)
-    with pytest.raises(InvalidInputError, match="margin must be a positive finite number"):
-        chaos_scan(diag_pair, law, 3, 50, margin=margin)
 
 
 @pytest.mark.parametrize("margin", [-2.0, 0.0, math.nan, math.inf])
@@ -406,25 +417,7 @@ def _unit(v):
 
 
 # ---------------------------------------------------------------------------
-# crossing scans and periodic classification
-
-
-def test_chaos_scan_matches_certificate(diag_pair):
-    cert, law = construct_chaotic_law(diag_pair, _diag_witness(diag_pair), Word((), 2), 2)
-    table = chaos_scan(diag_pair, law, 2, 50)
-    assert table.all_reached
-    got = [(e.k, e.time_below, e.time_above) for e in table.entries]
-    assert got == [(1, 1, 3), (2, 6, 10)]
-
-
-def test_chaos_scan_unreached_is_none(diag_pair):
-    from chaoslab import PeriodicLaw
-
-    law = PeriodicLaw(Word((1,), 2))  # only contracts, never expands
-    table = chaos_scan(diag_pair, law, 2, 30)
-    assert not table.all_reached
-    assert table.entry(1).time_below == 1
-    assert table.entry(1).time_above is None
+# periodic classification
 
 
 def test_classify_periodic_diag(diag_pair):

@@ -169,6 +169,25 @@ def test_spectral_radius_matches_mpmath_oracle():
         assert spectral_radius(a) == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("scale", [1e80, 1e-80, 1e200, 1e-200, 1e300, 1e-300])
+def test_2x2_norms_and_radius_match_mpmath_at_extreme_scales(scale):
+    # Squaring entries of this size leaves the float range, so the 2x2
+    # closed forms must hand these matrices to LAPACK.  The oracle is
+    # mpmath at 60 digits on the same float entries.
+    import mpmath
+    for base in (SHEAR, [[0.6, -1.3], [0.9, 0.4]], np.eye(2)):
+        a = scale * np.array(base)
+        with mpmath.workdps(60):
+            m = mpmath.matrix(a.tolist())
+            sv = mpmath.svd_r(m, compute_uv=False)
+            eigs, _ = mpmath.eig(m)
+            top, bottom = float(max(sv)), float(min(sv))
+            rho = float(max(abs(e) for e in eigs))
+        assert op_norm(a) == pytest.approx(top, rel=1e-12, abs=0.0)
+        assert co_norm(a) == pytest.approx(bottom, rel=1e-12, abs=0.0)
+        assert spectral_radius(a) == pytest.approx(rho, rel=1e-12, abs=0.0)
+
+
 def test_spectral_radius_is_a_plain_float():
     rng = np.random.default_rng(31)
     for d in (1, 2, 4):
@@ -186,6 +205,12 @@ def test_log_scaled_identity_and_from_matrix():
     m = LogScaledMatrix.from_matrix(np.diag([4.0, 4.0]))
     assert op_norm(m.unit) == pytest.approx(1.0, abs=1e-12)
     assert m.log_scale == pytest.approx(math.log(4.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2.5, True, "2", None])
+def test_log_scaled_identity_dim_is_validated(dim):
+    with pytest.raises(InvalidInputError, match="dimension must be at least 1"):
+        LogScaledMatrix.identity(dim)
 
 
 def test_log_scaled_rejects_zero_matrix():

@@ -302,6 +302,56 @@ def test_cli_lyapunov_negative_seed_exit_code(diag_file, capsys):
     assert capsys.readouterr().err.startswith("error: seed must be a nonnegative integer")
 
 
+# Squaring an entry of 1e200 overflows, so the 2x2 closed forms hand these
+# generators to LAPACK.
+BIG_SYSTEM = {
+    "dim": 2,
+    "matrices": {
+        "1": [[1e200, 0.0], [0.0, 1e200]],
+        "2": [[1.0, 0.0], [0.0, 1.0]],
+    },
+}
+
+
+@pytest.fixture
+def big_file(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(BIG_SYSTEM))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["stability", "--max-len", "3"], "worst_radius"),
+    (["jsr"], "lower"),
+    (["lyapunov", "--samples", "2", "--horizon", "5"], None),
+], ids=["stability", "jsr", "lyapunov"])
+def test_cli_handles_entries_past_the_closed_forms_range(argv, key, big_file, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    rc = main([*argv, "--system", big_file, "--json", str(report)])
+    assert rc == 0, capsys.readouterr().err
+    if key is not None:
+        assert json.loads(report.read_text())["results"][key] == pytest.approx(1e200, rel=1e-12)
+
+
+def test_cli_growth_overflow_is_an_input_error(big_file, capsys):
+    # growth multiplies raw float products, and 1e200**2 overflows
+    with pytest.warns(RuntimeWarning):
+        rc = main(["growth", "--system", big_file, "--nmax", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: matrix entries must be finite")
+
+
+def test_cli_simulate_horizon_past_the_step_budget(diag_file, tmp_path, capsys):
+    from chaoslab.chaos import SIMULATE_BUDGET
+
+    law_path = str(tmp_path / "law.json")
+    save_law(doubling_law(), law_path)
+    rc = main(["simulate", "--system", diag_file, "--law", law_path,
+               "--horizon", str(SIMULATE_BUDGET + 1)])
+    assert rc == 3
+    assert "exceeds the step budget" in capsys.readouterr().err
+
+
 def test_cli_invalid_system_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{")

@@ -10,7 +10,6 @@ from chaoslab import (
     MatrixSystem,
     PeriodicLaw,
     Word,
-    build_shear_block_system,
     classify_periodic,
     decay_check,
     growth_curve,
@@ -26,7 +25,7 @@ from chaoslab import (
 )
 from chaoslab.stability import BOUNDED_SO_FAR, GROWING
 
-from conftest import RHO_SHEAR, random_invertible
+from conftest import RHO_SHEAR, random_invertible, shear_block_system
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +228,7 @@ def test_growth_raw_pair_decays(shear06):
 
 def test_growth_block_system_is_linear():
     scale = 1.0 / RHO_SHEAR
-    curve = growth_curve(build_shear_block_system(0.6, 0.6, scale), 14)
+    curve = growth_curve(shear_block_system(0.6, 0.6, scale), 14)
     assert curve.fitted_exponent(even_only=True) == pytest.approx(1.0, abs=0.2)
     assert growth_verdict(curve) == GROWING
     assert curve.argmax_words[-1].symbols == (1, 2) * 7
@@ -279,7 +278,7 @@ def test_growth_respects_floor_bound():
     scale = 1.0 / RHO_SHEAR
     flat = growth_curve(shear_pair(0.6, 0.6, scale), 14)
     assert flat.fitted_exponent() <= polynomial_growth_exponent(2) + 0.25
-    block = growth_curve(build_shear_block_system(0.6, 0.6, scale), 14)
+    block = growth_curve(shear_block_system(0.6, 0.6, scale), 14)
     assert block.fitted_exponent(even_only=True) <= polynomial_growth_exponent(4) + 0.25
 
 
@@ -295,22 +294,11 @@ def test_shear_pair_entries():
         shear_pair(0.0, 1.0)
 
 
-def test_block_system_structure():
-    system = build_shear_block_system(0.6, 0.6)
-    g = system.generator(1)
-    assert g.shape == (4, 4)
-    f = 0.6 * np.array([[1.0, 1.0], [0.0, 1.0]])
-    assert np.allclose(g[:2, :2], f)
-    assert np.allclose(g[:2, 2:], f)
-    assert np.allclose(g[2:, :2], 0.0)
-    assert np.allclose(g[2:, 2:], f)
-
-
 def test_block_product_identity():
     """Products keep the shape [[P, n P], [0, P]] exactly."""
     rng = np.random.default_rng(57)
     scale = 1.0 / RHO_SHEAR
-    blk = build_shear_block_system(0.6, 0.6, scale)
+    blk = shear_block_system(0.6, 0.6, scale)
     pair = shear_pair(0.6, 0.6, scale)
     for _ in range(50):
         n = int(rng.integers(1, 21))
@@ -347,7 +335,7 @@ def test_irreducibility_single_shear(single_shear):
 
 
 def test_irreducibility_block_system():
-    report = irreducibility(build_shear_block_system(0.6, 0.6))
+    report = irreducibility(shear_block_system(0.6, 0.6))
     assert report.verdict == "reducible"
     assert report.algebra_dim == 8
 
@@ -377,7 +365,7 @@ def test_probe_irreducible_system_has_no_restrictions(shear06):
 
 def test_probe_block_system_contrast():
     scale = 1.0 / RHO_SHEAR
-    report = product_unbounded_probe(build_shear_block_system(0.6, 0.6, scale), n_max=12)
+    report = product_unbounded_probe(shear_block_system(0.6, 0.6, scale), n_max=12)
     assert report.full_verdict == GROWING
     assert len(report.restrictions) >= 1
     # the top two coordinates span an invariant plane on which the family

@@ -37,8 +37,6 @@ def test_word_basics():
     assert list(w) == [1, 2, 2]
     assert w[0] == 1
     assert w.text() == "1-2-2"
-    assert w.times(2).symbols == (1, 2, 2, 1, 2, 2)
-    assert (w + Word((1,), 2)).symbols == (1, 2, 2, 1)
 
 
 def test_word_validation():
@@ -48,8 +46,6 @@ def test_word_validation():
         Word((3,), 2)
     with pytest.raises(InvalidInputError):
         Word((1,), 0)
-    with pytest.raises(InvalidInputError):
-        Word((1,), 2) + Word((1,), 3)
 
 
 def test_word_rejects_fractional_symbols():
@@ -95,10 +91,6 @@ def test_periodic_law_symbols_and_shift():
     law = PeriodicLaw(Word((1, 2, 2), 2))
     assert law.sequence(6) == [1, 2, 2, 1, 2, 2]
     assert law.symbol(7) == 1
-    shifted = law.shift(1)
-    assert shifted.sequence(6) == [2, 2, 1, 2, 2, 1]
-    # shifting by the period gives the same sequence back
-    assert law.shift(3).sequence(9) == law.sequence(9)
 
 
 def test_periodic_law_rejects_empty_word():
@@ -128,16 +120,6 @@ def test_symbol_index_validation():
         law.symbol(1.5)
 
 
-def test_shift_composition_pointwise():
-    law = doubling_law()
-    a = law.shift(2).shift(3)
-    b = law.shift(5)
-    assert a.sequence(40) == b.sequence(40)
-    assert law.shift(0) is law
-    for n in range(1, 30):
-        assert law.shift(4).symbol(n) == law.symbol(n + 4)
-
-
 def test_block_law_sequence_and_tail():
     law = BlockLaw([(1, 3), (2, 2)], alphabet_size=2)
     # after the listed blocks the final symbol repeats forever
@@ -147,7 +129,7 @@ def test_block_law_sequence_and_tail():
 
 def test_block_law_validation():
     with pytest.raises(InvalidInputError):
-        BlockLaw([], alphabet_size=2)  # no blocks and no rule
+        BlockLaw([], alphabet_size=2)  # no blocks
     with pytest.raises(InvalidInputError):
         BlockLaw([(1, 0)], alphabet_size=2)
     with pytest.raises(InvalidInputError):
@@ -227,11 +209,10 @@ def laws(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(law=laws(), horizon=st.integers(0, 120), steps=st.integers(0, 50))
-def test_segment_laws_sequence_symbol_and_shift_agree(law, horizon, steps):
+@given(law=laws(), horizon=st.integers(0, 120))
+def test_segment_laws_sequence_symbol_and_shift_agree(law, horizon):
     seq = law.sequence(horizon)
     assert seq == [law.symbol(n) for n in range(1, horizon + 1)]
-    assert law.shift(steps).sequence(horizon) == law.sequence(horizon + steps)[steps:]
 
 
 def test_constructed_law_far_symbol_by_super_block_arithmetic():
@@ -241,7 +222,6 @@ def test_constructed_law_far_symbol_by_super_block_arithmetic():
     block = (1, 2) * 4 + (3,) * 5
     n = 10**12
     assert law.symbol(n) == block[(n - finite - 1) % len(block)]
-    assert law.shift(n - 1).symbol(1) == law.symbol(n)
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +372,9 @@ def test_law_from_spec_validation():
         law_from_spec([1, 2, 3])
 
 
-def test_custom_rule_block_law_is_not_serializable():
-    law = BlockLaw([], alphabet_size=2, rule=lambda m: (1, m))
-    with pytest.raises(InvalidInputError):
-        law_to_spec(law)
-
-
 def test_doubling_metric_against_itself_shifted():
     # shifting the doubling law changes early symbols, so the metric is
     # positive but bounded by 1
     law = doubling_law()
-    d = law_metric(law, law.shift(1))
+    d = law_metric(law, ExplicitLaw(Word(tuple(law.sequence(54)[1:]), 2)))
     assert 0.0 < d < 1.0
