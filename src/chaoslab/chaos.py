@@ -199,7 +199,8 @@ def find_witness(system: MatrixSystem, max_len: int = 12,
     every word of each length in lexicographic order, walking the word tree
     afresh for each length; the first qualifying word on each side is kept.
     The budget counts matrix multiplications and aborts the scan with a
-    resource error when exhausted.
+    resource error when exhausted.  Products are plain floats, so one that
+    overflows is refused as invalid input.
     """
     max_len = require_int(max_len, 1, "max_len must be a positive integer")
     budget = require_int(budget, 0, "budget must be a nonnegative integer")
@@ -215,6 +216,8 @@ def find_witness(system: MatrixSystem, max_len: int = 12,
             )
         if len(symbols) < length:
             continue
+        if not np.isfinite(prod).all():
+            raise InvalidInputError("matrix entries must be finite")
         top, bottom = _singular_extremes(prod)
         if found_contract is None and top < 1.0 - tol:
             found_contract = (system.word(symbols), top)
@@ -455,6 +458,12 @@ def simulate(system: MatrixSystem, law: SwitchingLaw, x0, horizon: int) -> Traje
         for idx in range(horizon):
             u = gens[syms[idx] - 1] @ u
             step = float(np.linalg.norm(u))
+            if not 0.0 < step < math.inf:
+                # The squares under the norm overflowed or underflowed.
+                peak = float(np.max(np.abs(u)))
+                u = u / peak
+                log_mag += math.log(peak)
+                step = float(np.linalg.norm(u))
             u = u / step
             log_mag += math.log(step)
             units[idx] = u

@@ -65,9 +65,7 @@ def _singular_extremes(a: np.ndarray) -> tuple[float, float]:
         g11 = a00 * a00 + a10 * a10
         g22 = a01 * a01 + a11 * a11
         t = g11 + g22
-        # Non-finite entries (an overflowed raw product) stay on the closed
-        # form, which reads them as inf or nan where LAPACK would raise.
-        if _CLOSED_LO <= t <= _CLOSED_HI or not np.isfinite(a).all():
+        if _CLOSED_LO <= t <= _CLOSED_HI:
             g12 = a00 * a01 + a10 * a11
             diff = g11 - g22
             disc = math.sqrt(diff * diff + 4.0 * g12 * g12)

@@ -46,6 +46,18 @@ def polynomial_growth_exponent(dim: int) -> int:
 # periodic stability
 
 
+def _feasible_depth(level_size, depth: int, budget: int) -> int:
+    """Deepest level j up to ``depth`` whose levels together, level_size(1)
+    + ... + level_size(j) nodes, fit the budget; 0 when level 1 does not."""
+    budget = require_int(budget, 0, "budget must be a nonnegative integer")
+    total = 0
+    for j in range(1, depth + 1):
+        total += level_size(j)
+        if total > budget:
+            return j - 1
+    return depth
+
+
 def _contracts(normalized_radius: float, tol: float = DEFAULT_STABILITY_TOL) -> bool:
     """The one contraction rule for a periodic word w, read on its
     normalized radius rho(S_w)^(1/|w|): contracting below 1 - tol."""
@@ -82,20 +94,25 @@ class StabilityVerdict:
 def necklace_log_radii(system: MatrixSystem, max_len: int):
     """Yield (symbols, log rho(S_w) / |w|) for every necklace w up to max_len.
 
-    Necklaces, the least words of their rotation classes, come by length and
-    then lexicographically.  Each length is one word-tree walk from the
-    identity that descends only from prenecklaces (the body computes each
-    word's FKM period before ``descend`` reads it), so products are shared
-    across common prefixes and equal ``MatrixSystem.word_product`` bit for bit.
+    Necklaces, the least words of their rotation classes, come in word-tree
+    (Python tuple) order, each before its extensions.  One walk from the
+    identity descends only from prenecklaces (the body computes each word's
+    FKM period before ``descend`` reads it), so each product is formed once
+    and equals ``MatrixSystem.word_product`` bit for bit.
     """
     max_len = require_int(max_len, 1, "max_len must be a positive integer")
-    identity = LogScaledMatrix.identity(system.dim)
-    for length in range(1, max_len + 1):
-        for symbols, prod in word_tree(system.generators, length, identity,
-                                       lambda symbols, prod: period):
-            period = _prenecklace_period(symbols)
-            if len(symbols) == length and period and length % period == 0:
-                yield symbols, prod.log_spectral_radius / length
+    for symbols, prod in word_tree(system.generators, max_len,
+                                   LogScaledMatrix.identity(system.dim),
+                                   lambda symbols, prod: period):
+        period = _prenecklace_period(symbols)
+        if period and len(symbols) % period == 0:
+            yield symbols, prod.log_spectral_radius / len(symbols)
+
+
+def _necklace_count(k: int, n: int) -> int:
+    """N(k, n) = (1/n) sum_{i<n} k^gcd(i, n), the number of necklaces of
+    length n over k symbols; one for a single symbol."""
+    return sum(k ** math.gcd(i, n) for i in range(n)) // n if k > 1 else 1
 
 
 def periodic_stability(
@@ -108,37 +125,28 @@ def periodic_stability(
 
     For each word w the decision quantity is rho(S_w)^(1/|w|); rotations
     share it, so only necklace representatives are evaluated.  ``budget``
-    caps the number of representatives examined; running out produces a
-    truncated verdict covering the lengths that completed.
+    caps them: the sweep covers the most lengths 1..checked_up_to whose
+    necklaces fit it, and is truncated when that stops short of max_len.
     """
     max_len = require_int(max_len, 1, "max_len must be a positive integer")
-    budget = require_int(budget, 0, "budget must be a nonnegative integer")
     tol = require_fraction(tol, "tol must lie in [0, 1)")
-    worst_word: Word | None = None
-    worst_radius = -math.inf
-    first_unstable: int | None = None
-    checked = max_len
-    for spent, (symbols, log_radius) in enumerate(necklace_log_radii(system, max_len)):
-        length = len(symbols)
-        if spent >= budget:
-            checked = length - 1
-            break
+    k = system.alphabet_size
+    checked = _feasible_depth(lambda n: _necklace_count(k, n), max_len, budget)
+    worst, worst_radius = (), -math.inf
+    stable_up_to = checked
+    for symbols, log_radius in necklace_log_radii(system, checked) if checked else ():
         normalized = math.exp(log_radius)
-        if normalized > worst_radius:
-            worst_radius = normalized
-            worst_word = system.word(symbols)
-        if not _contracts(normalized, tol) and first_unstable is None:
-            first_unstable = length
-    if first_unstable is not None and first_unstable <= checked:
-        stable_up_to = first_unstable - 1
-    else:
-        stable_up_to = checked
+        # Walk order is lexicographic within a length; ties keep the shorter word.
+        if (normalized, -len(symbols)) > (worst_radius, -len(worst)):
+            worst, worst_radius = symbols, normalized
+        if not _contracts(normalized, tol):
+            stable_up_to = min(stable_up_to, len(symbols) - 1)
     return StabilityVerdict(
         requested_len=max_len,
         checked_up_to=checked,
         stable_up_to=stable_up_to,
-        worst_word=worst_word,
-        worst_radius=worst_radius if worst_word is not None else math.nan,
+        worst_word=system.word(worst) if worst else None,
+        worst_radius=worst_radius if worst else math.nan,
         tol=tol,
         truncated=checked < max_len,
     )
@@ -285,22 +293,6 @@ def jsr_bracket(
 # growth curves
 
 
-def _feasible_depth(k: int, depth: int, budget: int) -> int:
-    """Deepest level up to ``depth`` whose whole word tree, k + k^2 + ... + k^j
-    products, fits the budget; raises when not even level 1 does."""
-    budget = require_int(budget, 0, "budget must be a nonnegative integer")
-    total = 0
-    for j in range(1, depth + 1):
-        total += k**j
-        if total > budget:
-            if j == 1:
-                raise BudgetExceededError(
-                    "budget does not cover depth 1", spent=k, budget=budget
-                )
-            return j - 1
-    return depth
-
-
 @dataclass
 class GrowthCurve:
     """Exact per-length maxima of ||S_w|| with the words attaining them.
@@ -363,7 +355,9 @@ def growth_curve(
     """
     n_max = require_int(n_max, 1, "n_max must be a positive integer")
     k = system.alphabet_size
-    n_eff = _feasible_depth(k, n_max, budget)
+    n_eff = _feasible_depth(lambda j: k**j, n_max, budget)
+    if n_eff == 0:
+        raise BudgetExceededError("budget does not cover depth 1", spent=k, budget=budget)
     gens = system.generators
     one_step = max(op_norm(g) for g in gens)
     best = [-math.inf] * (n_eff + 1)

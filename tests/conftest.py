@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -53,6 +54,14 @@ def shear_block_system(alpha, beta, scale=1.0):
     zero = np.zeros((2, 2))
     return MatrixSystem([np.block([[f, f], [zero, f]])
                          for f in shear_pair(alpha, beta, scale).generators])
+
+
+def necklace_count(k, n):
+    """Necklaces of length n over k symbols by the divisor sum
+    (1/n) * sum over divisors e of n of phi(e) * k^(n/e)."""
+    def phi(e):
+        return sum(1 for i in range(1, e + 1) if math.gcd(i, e) == 1)
+    return sum(phi(e) * k ** (n // e) for e in range(1, n + 1) if n % e == 0) // n
 
 
 def random_invertible(rng, dim, spread=1.0):

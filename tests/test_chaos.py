@@ -179,6 +179,14 @@ def test_find_witness_counts_every_prefix_product(k, max_len):
     assert search.nodes == sum((k ** (n + 1) - k) // (k - 1) for n in range(1, max_len + 1))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_find_witness_refuses_overflowed_products(dim):
+    system = MatrixSystem([1e200 * np.eye(dim), np.eye(dim)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInputError, match="finite"):
+            find_witness(system, max_len=3)
+
+
 @pytest.mark.parametrize("budget", [None, 2.5, True, -1])
 def test_find_witness_budget_is_validated(budget):
     with pytest.raises(InvalidInputError):
@@ -393,6 +401,19 @@ def test_simulate_validation(diag_pair):
         simulate(diag_pair, PeriodicLaw(Word((1,), 3)), np.ones(2), 5)
     with pytest.raises(BudgetExceededError):
         simulate(diag_pair, law, np.ones(2), 10**8)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_simulate_survives_norm_overflow_and_underflow(scale):
+    from chaoslab import doubling_law
+
+    system = MatrixSystem([np.diag([scale, scale]), np.eye(2)])
+    with np.errstate(over="ignore", under="ignore"):
+        traj = simulate(system, doubling_law(), np.array([3.0, 4.0]), 300)
+    # the doubling law's first 300 symbols hold 170 ones
+    assert traj.log_magnitudes[-1] / math.log(10.0) == pytest.approx(
+        math.log10(5.0) + 170 * math.log10(scale), abs=1e-9)
+    assert np.allclose(np.linalg.norm(traj.units, axis=1), 1.0)
 
 
 def test_simulated_crossings_transfer_to_difference_orbits():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from chaoslab import (
     CONTRACTING,
     BudgetExceededError,
     InvalidInputError,
+    LogScaledMatrix,
     MatrixSystem,
     PeriodicLaw,
     Word,
@@ -25,7 +27,7 @@ from chaoslab import (
 )
 from chaoslab.stability import BOUNDED_SO_FAR, GROWING
 
-from conftest import RHO_SHEAR, random_invertible, shear_block_system
+from conftest import RHO_SHEAR, necklace_count, random_invertible, shear_block_system
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +64,7 @@ def test_stability_budget_truncation(shear06):
 
 
 @pytest.mark.parametrize("budget, want", [
-    (1, (0, 0, "1")),
+    (1, (0, 0, None)),
     (2, (1, 1, "1")),
     (5, (2, 2, "1-2")),
     (10, (3, 3, "1-2")),
@@ -71,7 +73,8 @@ def test_stability_budget_truncation(shear06):
 def test_stability_budget_truncation_points(budget, want):
     verdict = periodic_stability(shear_pair(0.6, 0.6), 10, budget=budget)
     assert verdict.truncated
-    assert (verdict.checked_up_to, verdict.stable_up_to, verdict.worst_word.text()) == want
+    word = verdict.worst_word.text() if verdict.worst_word is not None else None
+    assert (verdict.checked_up_to, verdict.stable_up_to, word) == want
 
 
 @pytest.mark.parametrize("budget", [None, 2.5, True, -1])
@@ -87,6 +90,64 @@ def test_stability_zero_budget_checks_nothing(shear06):
     assert verdict.truncated
     assert verdict.checked_up_to == 0
     assert verdict.worst_word is None
+
+
+def _count_left_multiply(monkeypatch):
+    calls = []
+    inner = LogScaledMatrix.left_multiply
+
+    def counted(self, a):
+        calls.append(None)
+        return inner(self, a)
+
+    monkeypatch.setattr(LogScaledMatrix, "left_multiply", counted)
+    return calls
+
+
+def test_stability_sweep_forms_each_product_once(monkeypatch, shear06):
+    calls = _count_left_multiply(monkeypatch)
+    assert periodic_stability(shear06, 14).checked_up_to == 14
+    # 2 + 2 * (prenecklaces of length <= 13) in one walk; per-length walks formed 13,760
+    assert len(calls) <= 6114
+    calls.clear()
+    verdict = periodic_stability(MatrixSystem([[[0.5]]]), 1500)
+    assert verdict.stable
+    assert len(calls) == 1500
+
+
+@pytest.mark.parametrize("k, max_len", [(2, 8), (3, 5)])
+def test_stability_budget_fixes_depth_and_worst_word(k, max_len):
+    rng = np.random.default_rng(42)
+    # each generator contracts (radius 0.99) while some longer words expand
+    gens = [random_invertible(rng, 2) for _ in range(k)]
+    gens = [0.99 * g / np.max(np.abs(np.linalg.eigvals(g))) for g in gens]
+    system = MatrixSystem(gens)
+    # Brute force over every word, rotations included, with a plain eigensolver.
+    per_length = []
+    radius_of = {}
+    for n in range(1, max_len + 1):
+        for word in itertools.product(range(1, k + 1), repeat=n):
+            prod = np.eye(2)
+            for sym in word:
+                prod = gens[sym - 1] @ prod
+            radius_of[word] = np.max(np.abs(np.linalg.eigvals(prod))) ** (1.0 / n)
+        per_length.append(max(radius_of[w] for w in radius_of if len(w) == n))
+    assert per_length[0] < 1.0 - 1e-6 and max(per_length) > 1.0 + 1e-6
+    for budget in range(151):
+        verdict = periodic_stability(system, max_len, budget=budget)
+        want = max(n for n in range(max_len + 1)
+                   if sum(necklace_count(k, m) for m in range(1, n + 1)) <= budget)
+        assert verdict.checked_up_to == want
+        assert verdict.truncated == (want < max_len)
+        if want == 0:
+            assert verdict.worst_word is None
+            continue
+        worst = max(per_length[:want])
+        assert len(verdict.worst_word) <= want
+        assert verdict.worst_radius == pytest.approx(worst, rel=1e-9)
+        assert radius_of[verdict.worst_word.symbols] == pytest.approx(worst, rel=1e-9)
+        unstable = [n for n in range(1, want + 1) if per_length[n - 1] >= 1.0]
+        assert verdict.stable_up_to == (unstable[0] - 1 if unstable else want)
 
 
 @pytest.mark.parametrize("k", [2, 3])
