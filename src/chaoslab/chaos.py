@@ -209,22 +209,23 @@ def find_witness(system: MatrixSystem, max_len: int = 12,
             for symbols, prod in word_tree(system.generators, length, np.eye(system.dim)))
     found_contract: tuple[Word, float] | None = None
     found_expand: tuple[Word, float] | None = None
-    for nodes, (length, symbols, prod) in enumerate(scan, start=1):
-        if nodes > budget:
-            raise BudgetExceededError(
-                "witness scan exceeded its node budget", spent=nodes, budget=budget
-            )
-        if len(symbols) < length:
-            continue
-        if not np.isfinite(prod).all():
-            raise InvalidInputError("matrix entries must be finite")
-        top, bottom = _singular_extremes(prod)
-        if found_contract is None and top < 1.0 - tol:
-            found_contract = (system.word(symbols), top)
-        if found_expand is None and bottom > 1.0 + tol:
-            found_expand = (system.word(symbols), bottom)
-        if found_contract is not None and found_expand is not None:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for nodes, (length, symbols, prod) in enumerate(scan, start=1):
+            if nodes > budget:
+                raise BudgetExceededError(
+                    "witness scan exceeded its node budget", spent=nodes, budget=budget
+                )
+            if len(symbols) < length:
+                continue
+            if not np.isfinite(prod).all():
+                raise InvalidInputError("matrix entries must be finite")
+            top, bottom = _singular_extremes(prod)
+            if found_contract is None and top < 1.0 - tol:
+                found_contract = (system.word(symbols), top)
+            if found_expand is None and bottom > 1.0 + tol:
+                found_expand = (system.word(symbols), bottom)
+            if found_contract is not None and found_expand is not None:
+                break
     witness = None
     if found_contract is not None and found_expand is not None:
         witness = WitnessPair(
@@ -455,18 +456,19 @@ def simulate(system: MatrixSystem, law: SwitchingLaw, x0, horizon: int) -> Traje
         u = x / mag
         log_mag = math.log(mag)
         gens = system.generators
-        for idx in range(horizon):
-            u = gens[syms[idx] - 1] @ u
-            step = float(np.linalg.norm(u))
-            if not 0.0 < step < math.inf:
-                # The squares under the norm overflowed or underflowed.
-                peak = float(np.max(np.abs(u)))
-                u = u / peak
-                log_mag += math.log(peak)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx in range(horizon):
+                u = gens[syms[idx] - 1] @ u
                 step = float(np.linalg.norm(u))
-            u = u / step
-            log_mag += math.log(step)
-            units[idx] = u
-            logs[idx] = log_mag
+                if not 0.0 < step < math.inf:
+                    # The squares under the norm overflowed or underflowed.
+                    peak = float(np.max(np.abs(u)))
+                    u = u / peak
+                    log_mag += math.log(peak)
+                    step = float(np.linalg.norm(u))
+                u = u / step
+                log_mag += math.log(step)
+                units[idx] = u
+                logs[idx] = log_mag
     return Trajectory(x0=x, symbols=syms, units=units, log_magnitudes=logs,
                       zero_input=zero_input)

@@ -221,32 +221,37 @@ def walk(generators, symbols, start: LogScaledMatrix | None = None):
         yield prod
 
 
-def word_tree(generators, depth: int, start, descend=None):
-    """Yield (symbols, product) for every word of length 1..depth.
+def word_tree(generators, depth: int, start, children=None):
+    """Yield (symbols, product) for words of length 1..depth.
 
     Words come depth first in lexicographic order, each before its
     extensions.  A word's product is formed from its parent's with one
     multiplication when the word is reached: ``parent.left_multiply(g)`` for
     a LogScaledMatrix ``start``, ``g @ parent`` for an array.  Once the
-    consumer has handled a word shorter than ``depth``, its extensions are
-    walked unless ``descend(symbols, product)`` is false.  Every
-    lexicographic word-tree search in the package runs on this walk.
+    consumer has handled a word shorter than ``depth``, the walk extends it
+    by the ascending symbols ``children(symbols, product)`` returns, every
+    symbol when ``children`` is None; other extensions are never multiplied.
+    Every lexicographic word-tree search in the package runs on this walk.
     """
     if depth < 1:
         return
     scaled = isinstance(start, LogScaledMatrix)
+    every = range(1, len(generators) + 1)
     # One frame per word being extended: its symbols, its product and the
-    # generators not yet tried after it.
-    frames = [((), start, enumerate(generators, start=1))]
+    # child symbols not yet tried after it.
+    frames = [((), start, iter(every))]
     while frames:
         prefix, parent, untried = frames[-1]
-        for sym, g in untried:
+        for sym in untried:
             symbols = prefix + (sym,)
+            g = generators[sym - 1]
             prod = parent.left_multiply(g) if scaled else g @ parent
             yield symbols, prod
-            if len(symbols) < depth and (descend is None or descend(symbols, prod)):
-                frames.append((symbols, prod, enumerate(generators, start=1)))
-                break
+            if len(symbols) < depth:
+                below = every if children is None else children(symbols, prod)
+                if below:
+                    frames.append((symbols, prod, iter(below)))
+                    break
         else:
             frames.pop()
 

@@ -16,7 +16,7 @@ from .chaos import MatrixSystem
 from .errors import (BudgetExceededError, InvalidInputError, require_fraction, require_int,
                      require_positive)
 from .linalg import LogScaledMatrix, op_norm, walk, word_tree
-from .switching import Word, _prenecklace_period
+from .switching import Word
 
 DEFAULT_STABILITY_TOL = 1e-9
 DEFAULT_JSR_BUDGET = 10**6
@@ -92,21 +92,30 @@ class StabilityVerdict:
 
 
 def necklace_log_radii(system: MatrixSystem, max_len: int):
-    """Yield (symbols, log rho(S_w) / |w|) for every necklace w up to max_len.
+    """Yield (symbols, log rho(S_w) / |w|) for every Lyndon word w up to max_len.
 
-    Necklaces, the least words of their rotation classes, come in word-tree
-    (Python tuple) order, each before its extensions.  One walk from the
-    identity descends only from prenecklaces (the body computes each word's
-    FKM period before ``descend`` reads it), so each product is formed once
-    and equals ``MatrixSystem.word_product`` bit for bit.
+    Lyndon words, the aperiodic necklaces, are the least words of their
+    rotation classes; a necklace w^m shares w's value, so only w is yielded.
+    They come in word-tree (Python tuple) order, each before its extensions.
+    One walk from the identity forms a product for prenecklaces only, once
+    each and equal to ``MatrixSystem.word_product`` bit for bit.  By
+    Fredricksen-Kessler-Maiorana a prenecklace of length n and period p (its
+    longest Lyndon prefix) extends to prenecklaces by exactly the symbols at
+    least the one p places back; a child keeps p when it repeats that symbol
+    and otherwise is Lyndon, of period n + 1.
     """
     max_len = require_int(max_len, 1, "max_len must be a positive integer")
+    k = system.alphabet_size
+    periods = [0] * (max_len + 1)  # periods[n]: FKM period of the current word of length n
     for symbols, prod in word_tree(system.generators, max_len,
                                    LogScaledMatrix.identity(system.dim),
-                                   lambda symbols, prod: period):
-        period = _prenecklace_period(symbols)
-        if period and len(symbols) % period == 0:
-            yield symbols, prod.log_spectral_radius / len(symbols)
+                                   lambda symbols, prod: range(symbols[n - period], k + 1)):
+        n = len(symbols)
+        period = periods[n - 1]
+        if n == 1 or symbols[-1] != symbols[-1 - period]:
+            period = n
+            yield symbols, prod.log_spectral_radius / n
+        periods[n] = period
 
 
 def _necklace_count(k: int, n: int) -> int:
@@ -124,9 +133,9 @@ def periodic_stability(
     """Decide contraction of every periodic product with period <= max_len.
 
     For each word w the decision quantity is rho(S_w)^(1/|w|); rotations
-    share it, so only necklace representatives are evaluated.  ``budget``
-    caps them: the sweep covers the most lengths 1..checked_up_to whose
-    necklaces fit it, and is truncated when that stops short of max_len.
+    and powers share it, so only Lyndon words are evaluated.  ``budget``
+    counts necklaces: the sweep covers the most lengths 1..checked_up_to
+    whose necklaces fit it, and is truncated when that stops short of max_len.
     """
     max_len = require_int(max_len, 1, "max_len must be a positive integer")
     tol = require_fraction(tol, "tol must lie in [0, 1)")
@@ -362,10 +371,11 @@ def growth_curve(
     one_step = max(op_norm(g) for g in gens)
     best = [-math.inf] * (n_eff + 1)
     argmax: list[tuple[int, ...] | None] = [None] * (n_eff + 1)
+    every = range(1, k + 1)
     # Lexicographic depth-first order makes first strict improvements the
-    # smallest argmax words; descend reuses the body's reachability test.
+    # smallest argmax words; children reuses the body's reachability test.
     for symbols, prod in word_tree(gens, n_eff, np.eye(system.dim),
-                                   lambda symbols, prod: reachable):
+                                   lambda symbols, prod: every if reachable else ()):
         j = len(symbols)
         v = op_norm(prod)
         if v > best[j]:

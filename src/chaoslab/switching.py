@@ -5,8 +5,7 @@ functions; the finite descriptions below (periodic words, block schedules,
 constructed alternating schedules, explicit prefixes) all extend to infinity
 by a documented convention so that evaluation never runs off the end.
 
-Also provided: finite words, the weighted-disagreement metric on laws, the
-necklace test behind the stability sweep.
+Also provided: finite words and the weighted-disagreement metric on laws.
 """
 
 from __future__ import annotations
@@ -325,23 +324,6 @@ def law_metric(a: SwitchingLaw, b: SwitchingLaw, precision: int = DEFAULT_METRIC
     for n in range(precision, 0, -1):
         total += min(1.0, abs(sa[n - 1] - sb[n - 1])) * 2.0 ** (-n)
     return total
-
-
-def _prenecklace_period(symbols) -> int:
-    """FKM period of a word: the length of its longest Lyndon prefix, or 0
-    when the word is no prenecklace, that is, no prefix of any necklace.
-
-    A word of length n is a necklace (the least of its rotations) exactly
-    when its period is nonzero and divides n (Fredricksen-Kessler-Maiorana).
-    """
-    period = 1
-    for t in range(1, len(symbols)):
-        earlier = symbols[t - period]
-        if symbols[t] < earlier:
-            return 0
-        if symbols[t] > earlier:
-            period = t + 1
-    return period
 
 
 def law_to_spec(law: SwitchingLaw) -> dict:

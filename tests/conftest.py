@@ -64,6 +64,15 @@ def necklace_count(k, n):
     return sum(phi(e) * k ** (n // e) for e in range(1, n + 1) if n % e == 0) // n
 
 
+def lyndon_count(k, n):
+    """Lyndon words (aperiodic necklaces) of length n over k symbols by
+    Moebius inversion: (1/n) * sum over divisors e of n of mu(e) * k^(n/e)."""
+    def mu(e):
+        primes = [p for p in range(2, e + 1) if e % p == 0 and all(p % q for q in range(2, p))]
+        return 0 if any(e % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+    return sum(mu(e) * k ** (n // e) for e in range(1, n + 1) if n % e == 0) // n
+
+
 def random_invertible(rng, dim, spread=1.0):
     """A random matrix resampled until comfortably nonsingular."""
     while True:

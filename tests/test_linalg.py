@@ -342,29 +342,49 @@ def test_word_tree_order_k3_depth3():
     assert len(got) == 3 + 9 + 27
 
 
-def test_word_tree_false_descend_skips_only_that_subtree():
+def test_word_tree_empty_children_skip_only_that_subtree():
     gens = [np.eye(2)] * 3
     got = [
         symbols
-        for symbols, _ in word_tree(gens, 4, np.eye(2), lambda symbols, prod: symbols != (1, 2))
+        for symbols, _ in word_tree(gens, 4, np.eye(2),
+                                    lambda symbols, prod: () if symbols == (1, 2) else (1, 2, 3))
     ]
     want = [w for w in sorted(_all_words(3, 4)) if not (w[:2] == (1, 2) and len(w) > 2)]
     assert got == want
 
 
-def test_word_tree_descend_runs_after_the_loop_body():
+def test_word_tree_children_runs_after_the_loop_body():
     events = []
 
-    def descend(symbols, prod):
-        events.append(("descend", symbols))
-        return True
+    def children(symbols, prod):
+        events.append(("children", symbols))
+        return (1, 2)
 
-    for symbols, _ in word_tree([np.eye(1)] * 2, 2, np.eye(1), descend):
+    for symbols, _ in word_tree([np.eye(1)] * 2, 2, np.eye(1), children):
         events.append(("body", symbols))
     assert events == [
-        ("body", (1,)), ("descend", (1,)), ("body", (1, 1)), ("body", (1, 2)),
-        ("body", (2,)), ("descend", (2,)), ("body", (2, 1)), ("body", (2, 2)),
+        ("body", (1,)), ("children", (1,)), ("body", (1, 1)), ("body", (1, 2)),
+        ("body", (2,)), ("children", (2,)), ("body", (2, 1)), ("body", (2, 2)),
     ]
+
+
+def test_word_tree_never_multiplies_a_child_outside_children(monkeypatch):
+    # Generator s is s * I, so each multiplication names the symbol it appends.
+    gens = [s * np.eye(2) for s in (1.0, 2.0, 3.0)]
+    multiplied = []
+    inner = LogScaledMatrix.left_multiply
+
+    def counted(self, a):
+        multiplied.append(int(a[0, 0]))
+        return inner(self, a)
+
+    monkeypatch.setattr(LogScaledMatrix, "left_multiply", counted)
+    # Extend a word only by symbols at least its last one: nondecreasing words.
+    got = [symbols for symbols, _ in word_tree(gens, 4, LogScaledMatrix.identity(2),
+                                               lambda symbols, prod: range(symbols[-1], 4))]
+    want = [w for w in sorted(_all_words(3, 4)) if list(w) == sorted(w)]
+    assert got == want
+    assert multiplied == [w[-1] for w in want]
 
 
 def test_word_tree_depth_zero_yields_nothing():

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,22 @@ def test_cli_handles_entries_past_the_closed_forms_range(argv, key, big_file, tm
     assert rc == 0, capsys.readouterr().err
     if key is not None:
         assert json.loads(report.read_text())["results"][key] == pytest.approx(1e200, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--law", "doubling.json", "--horizon", "300"], 0),
+    (["analyze", "--word-len", "3"], 2),
+], ids=["simulate", "analyze"])
+def test_cli_handled_overflow_prints_no_numpy_warning(argv, code, big_file, tmp_path,
+                                                      monkeypatch, capsys):
+    (tmp_path / "doubling.json").write_text(json.dumps({"type": "doubling"}))
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*argv, "--system", big_file])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err == "" if code == 0 else err.startswith("error: matrix entries must be finite")
 
 
 def test_cli_growth_overflow_is_an_input_error(big_file, capsys):

@@ -27,7 +27,8 @@ from chaoslab import (
 )
 from chaoslab.stability import BOUNDED_SO_FAR, GROWING
 
-from conftest import RHO_SHEAR, necklace_count, random_invertible, shear_block_system
+from conftest import (RHO_SHEAR, lyndon_count, necklace_count, random_invertible,
+                      shear_block_system)
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +105,41 @@ def _count_left_multiply(monkeypatch):
     return calls
 
 
+def _prenecklace_count(k, max_len):
+    """Prenecklaces of lengths 1..max_len: one per nonempty prefix of each
+    Lyndon word, sum over n <= max_len and i <= n of Lyd(k, i)."""
+    return sum(lyndon_count(k, i) for n in range(1, max_len + 1) for i in range(1, n + 1))
+
+
+def _random_k3_d4():
+    return MatrixSystem(list(np.random.default_rng(0).standard_normal((3, 4, 4))))
+
+
 def test_stability_sweep_forms_each_product_once(monkeypatch, shear06):
     calls = _count_left_multiply(monkeypatch)
     assert periodic_stability(shear06, 14).checked_up_to == 14
-    # 2 + 2 * (prenecklaces of length <= 13) in one walk; per-length walks formed 13,760
-    assert len(calls) <= 6114
+    # one product per prenecklace; a product for every child formed 6,114
+    assert len(calls) == _prenecklace_count(2, 14) == 5594
+    calls.clear()
+    assert periodic_stability(_random_k3_d4(), 8).checked_up_to == 8
+    assert len(calls) == _prenecklace_count(3, 8) == 2157
     calls.clear()
     verdict = periodic_stability(MatrixSystem([[[0.5]]]), 1500)
     assert verdict.stable
     assert len(calls) == 1500
+
+
+@pytest.mark.parametrize("system, max_len, want", [
+    (_random_k3_d4(), 8, (3,)),
+    (MatrixSystem([np.diag([1e200, 1e200]), np.eye(2)]), 3, (1,)),
+    (MatrixSystem([[[0.5]]]), 1500, (1,)),
+], ids=["k3-d4", "big", "one"])
+def test_stability_worst_word_is_primitive(system, max_len, want):
+    # A power w^m shares w's normalized radius up to rounding; the sweep names w.
+    verdict = periodic_stability(system, max_len)
+    assert verdict.worst_word.symbols == want
+    log_radius = system.word_product(want).log_spectral_radius / len(want)
+    assert verdict.worst_radius == pytest.approx(math.exp(log_radius), rel=1e-12)
 
 
 @pytest.mark.parametrize("k, max_len", [(2, 8), (3, 5)])

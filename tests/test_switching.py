@@ -22,10 +22,10 @@ from chaoslab import (
     necklace_log_radii,
 )
 
-from conftest import necklace_count
+from conftest import lyndon_count
 
-# Necklace counts for a binary alphabet, lengths 1..10.
-BINARY_NECKLACES = (2, 3, 4, 6, 8, 14, 20, 36, 60, 108)
+# Lyndon word (aperiodic necklace) counts for a binary alphabet, lengths 1..10.
+BINARY_LYNDON = (2, 1, 2, 3, 6, 9, 18, 30, 56, 99)
 
 
 # ---------------------------------------------------------------------------
@@ -282,47 +282,50 @@ def test_law_metric_alphabet_mismatch():
 # necklaces
 
 
-def _necklaces(k, max_len):
-    """Necklace words up to max_len over k symbols, from the stability sweep."""
+def _lyndon_words(k, max_len):
+    """Lyndon words up to max_len over k symbols, from the stability sweep."""
     system = MatrixSystem([[[0.5 + 0.1 * s]] for s in range(k)])
     return [symbols for symbols, _ in necklace_log_radii(system, max_len)]
 
 
-def _rotation_minimal(k, n):
-    """Brute force: every word of length n that is the least of its rotations."""
+def _lyndon_brute_force(k, n):
+    """Every word of length n strictly less than each of its proper rotations."""
     return [
         tup for tup in itertools.product(range(1, k + 1), repeat=n)
-        if all(tup <= tup[i:] + tup[:i] for i in range(1, n))
+        if all(tup < tup[i:] + tup[:i] for i in range(1, n))
     ]
 
 
 def test_necklace_counts_binary():
-    words = _necklaces(2, len(BINARY_NECKLACES))
-    for length, want in enumerate(BINARY_NECKLACES, start=1):
-        assert sum(1 for w in words if len(w) == length) == want
+    words = _lyndon_words(2, len(BINARY_LYNDON))
+    for length, want in enumerate(BINARY_LYNDON, start=1):
+        assert sum(1 for w in words if len(w) == length) == want == lyndon_count(2, length)
 
 
 def test_necklace_counts_match_divisor_sum():
     for k in (2, 3):
-        words = _necklaces(k, 8)
+        words = _lyndon_words(k, 8)
         for n in range(1, 9):
-            assert sum(1 for w in words if len(w) == n) == necklace_count(k, n)
+            assert sum(1 for w in words if len(w) == n) == lyndon_count(k, n)
 
 
 def test_necklace_representatives_are_rotation_minimal():
-    # the same words as a brute-force rotation filter, in tuple order
+    # the same words as a brute-force strict rotation filter, in tuple order
     for k in (2, 3):
-        want = [tup for n in range(1, 9) for tup in _rotation_minimal(k, n)]
-        assert _necklaces(k, 8) == sorted(want)
+        want = [tup for n in range(1, 9) for tup in _lyndon_brute_force(k, n)]
+        assert _lyndon_words(k, 8) == sorted(want)
 
 
 def test_necklaces_cover_all_words_up_to_rotation():
-    reps = set()
-    for tup in _necklaces(2, 5):
-        if len(tup) == 5:
-            for i in range(5):
-                reps.add(tup[i:] + tup[:i])
-    assert reps == set(itertools.product((1, 2), repeat=5))
+    # Every word of length n is a rotation of w^(n/|w|) for a Lyndon w with |w| | n.
+    lyndon = _lyndon_words(2, 6)
+    for n in (5, 6):
+        reps = set()
+        for w in lyndon:
+            if n % len(w) == 0:
+                power = w * (n // len(w))
+                reps.update(power[i:] + power[:i] for i in range(n))
+        assert reps == set(itertools.product((1, 2), repeat=n))
 
 
 # ---------------------------------------------------------------------------
