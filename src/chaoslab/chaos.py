@@ -199,33 +199,33 @@ def find_witness(system: MatrixSystem, max_len: int = 12,
     every word of each length in lexicographic order, walking the word tree
     afresh for each length; the first qualifying word on each side is kept.
     The budget counts matrix multiplications and aborts the scan with a
-    resource error when exhausted.  Products are plain floats, so one that
-    overflows is refused as invalid input.
+    resource error when exhausted.
     """
     max_len = require_int(max_len, 1, "max_len must be a positive integer")
     budget = require_int(budget, 0, "budget must be a nonnegative integer")
     tol = require_fraction(tol, "tol must lie in [0, 1)")
+    log_below, log_above = math.log(1.0 - tol), math.log(1.0 + tol)
+    start = LogScaledMatrix.identity(system.dim)
     scan = ((length, symbols, prod) for length in range(1, max_len + 1)
-            for symbols, prod in word_tree(system.generators, length, np.eye(system.dim)))
+            for symbols, prod in word_tree(system.generators, length, start))
     found_contract: tuple[Word, float] | None = None
     found_expand: tuple[Word, float] | None = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for nodes, (length, symbols, prod) in enumerate(scan, start=1):
-            if nodes > budget:
-                raise BudgetExceededError(
-                    "witness scan exceeded its node budget", spent=nodes, budget=budget
-                )
-            if len(symbols) < length:
-                continue
-            if not np.isfinite(prod).all():
-                raise InvalidInputError("matrix entries must be finite")
-            top, bottom = _singular_extremes(prod)
-            if found_contract is None and top < 1.0 - tol:
-                found_contract = (system.word(symbols), top)
-            if found_expand is None and bottom > 1.0 + tol:
-                found_expand = (system.word(symbols), bottom)
-            if found_contract is not None and found_expand is not None:
-                break
+    for nodes, (length, symbols, prod) in enumerate(scan, start=1):
+        if nodes > budget:
+            raise BudgetExceededError(
+                "witness scan exceeded its node budget", spent=nodes, budget=budget
+            )
+        if len(symbols) < length:
+            continue
+        top, bottom = _singular_extremes(prod.unit)
+        log_top = prod.log_scale + math.log(top)
+        log_bottom = prod.log_scale + math.log(bottom) if bottom > 0.0 else -math.inf
+        if found_contract is None and log_top < log_below:
+            found_contract = (system.word(symbols), math.exp(log_top))
+        if found_expand is None and log_bottom > log_above:
+            found_expand = (system.word(symbols), math.exp(log_bottom))
+        if found_contract is not None and found_expand is not None:
+            break
     witness = None
     if found_contract is not None and found_expand is not None:
         witness = WitnessPair(

@@ -29,7 +29,7 @@ SINGULARITY_RTOL = 1e-12
 _CLOSED_LO = 2.0 ** -480
 _CLOSED_HI = 2.0 ** 480
 
-# Renormalization band for LogScaledMatrix units.
+# Renormalization band for the largest |entry| of a LogScaledMatrix unit.
 _BAND_LO = 0.5
 _BAND_HI = 2.0
 
@@ -131,11 +131,12 @@ def spectral_radius(a) -> float:
 
 @dataclass(frozen=True)
 class LogScaledMatrix:
-    """A matrix stored as ``exp(log_scale) * unit`` with op_norm(unit) in [0.5, 2].
+    """A matrix stored as ``exp(log_scale) * unit``, max |entry| of unit in [0.5, 2].
 
-    Long products of contracting or expanding factors stay representable:
-    each left-multiplication renormalizes the unit part back into the band
-    and accumulates the norm into ``log_scale``.
+    Long products stay representable: a left-multiplication that moves the
+    unit's largest |entry| out of the band rescales it by an exact power of
+    two into ``log_scale``, so the unit is the plain float product times 2**k,
+    bit for bit, while that product stays in range.
     """
 
     unit: np.ndarray
@@ -151,7 +152,7 @@ class LogScaledMatrix:
     @classmethod
     def _trusted(cls, unit: np.ndarray, log_scale: float) -> "LogScaledMatrix":
         """Wrap a finite square unit and a finite scale without checking them
-        again; identity, from_matrix and left_multiply build through here."""
+        again; identity and left_multiply build through here."""
         self = object.__new__(cls)
         unit.setflags(write=False)
         vars(self).update(unit=unit, log_scale=log_scale)
@@ -164,11 +165,8 @@ class LogScaledMatrix:
 
     @classmethod
     def from_matrix(cls, a) -> "LogScaledMatrix":
-        arr = as_matrix(a).copy()
-        nu = op_norm(arr)
-        if nu == 0.0:
-            raise InvalidInputError("the zero matrix has no log-scaled representation")
-        return cls._trusted(arr / nu, math.log(nu))
+        arr = as_matrix(a)
+        return cls.identity(arr.shape[0]).left_multiply(arr)
 
     @property
     def dim(self) -> int:
@@ -177,12 +175,15 @@ class LogScaledMatrix:
     def left_multiply(self, a: np.ndarray) -> "LogScaledMatrix":
         """Return the log-scaled product ``a @ self``."""
         raw = a @ self.unit
-        nu = op_norm(raw)
-        if nu == 0.0:
-            raise InvalidInputError("product collapsed to the zero matrix")
-        if _BAND_LO <= nu <= _BAND_HI:
+        peak = float(np.abs(raw).max())
+        if _BAND_LO <= peak <= _BAND_HI:
             return self._trusted(raw, self.log_scale)
-        return self._trusted(raw / nu, self.log_scale + math.log(nu))
+        if not 0.0 < peak < math.inf:
+            raise InvalidInputError("product collapsed to the zero matrix" if peak == 0.0
+                                    else "matrix entries must be finite")
+        # Unlike a factor 2.0 ** -e, ldexp cannot overflow or underflow here.
+        e = math.frexp(peak)[1]
+        return self._trusted(np.ldexp(raw, -e), self.log_scale + e * math.log(2.0))
 
     # The reads below skip ``as_matrix``: every unit was validated on entry.
 
@@ -221,21 +222,20 @@ def walk(generators, symbols, start: LogScaledMatrix | None = None):
         yield prod
 
 
-def word_tree(generators, depth: int, start, children=None):
+def word_tree(generators, depth: int, start: LogScaledMatrix, children=None):
     """Yield (symbols, product) for words of length 1..depth.
 
     Words come depth first in lexicographic order, each before its
     extensions.  A word's product is formed from its parent's with one
-    multiplication when the word is reached: ``parent.left_multiply(g)`` for
-    a LogScaledMatrix ``start``, ``g @ parent`` for an array.  Once the
-    consumer has handled a word shorter than ``depth``, the walk extends it
-    by the ascending symbols ``children(symbols, product)`` returns, every
-    symbol when ``children`` is None; other extensions are never multiplied.
-    Every lexicographic word-tree search in the package runs on this walk.
+    ``parent.left_multiply(g)`` when the word is reached, the root's being
+    ``start``.  Once the consumer has handled a word shorter than ``depth``,
+    the walk extends it by the ascending symbols ``children(symbols,
+    product)`` returns, every symbol when ``children`` is None; other
+    extensions are never multiplied.  Every lexicographic word-tree search
+    in the package runs on this walk.
     """
     if depth < 1:
         return
-    scaled = isinstance(start, LogScaledMatrix)
     every = range(1, len(generators) + 1)
     # One frame per word being extended: its symbols, its product and the
     # child symbols not yet tried after it.
@@ -244,8 +244,7 @@ def word_tree(generators, depth: int, start, children=None):
         prefix, parent, untried = frames[-1]
         for sym in untried:
             symbols = prefix + (sym,)
-            g = generators[sym - 1]
-            prod = parent.left_multiply(g) if scaled else g @ parent
+            prod = parent.left_multiply(generators[sym - 1])
             yield symbols, prod
             if len(symbols) < depth:
                 below = every if children is None else children(symbols, prod)
@@ -254,4 +253,3 @@ def word_tree(generators, depth: int, start, children=None):
                     break
         else:
             frames.pop()
-

@@ -194,9 +194,10 @@ def classify_periodic(system: MatrixSystem, word: Word) -> PeriodicVerdict:
 class JsrBracket:
     """Certified two-sided bracket lower <= jsr <= upper.
 
-    ``lower_witness`` is a word whose normalized spectral radius equals
-    ``lower``.  ``converged`` records whether the search closed the bracket
-    to the requested relative gap before the node budget ran out.
+    ``lower_witness`` is a primitive word (no proper power) whose normalized
+    spectral radius equals ``lower``.  ``converged`` records whether the
+    search closed the bracket to the requested relative gap before the node
+    budget ran out.
     """
 
     lower: float
@@ -211,6 +212,12 @@ class JsrBracket:
     @property
     def gap(self) -> float:
         return self.upper - self.lower
+
+
+def _is_proper_power(symbols: tuple[int, ...]) -> bool:
+    """Whether ``symbols`` is some shorter word repeated."""
+    n = len(symbols)
+    return any(n % p == 0 and symbols == symbols[:p] * (n // p) for p in range(1, n // 2 + 1))
 
 
 def jsr_bracket(
@@ -265,11 +272,13 @@ def jsr_bracket(
         symbols, prod, m = stack.pop()
         depth = max(depth, len(symbols))
         rho = math.exp(prod.log_spectral_radius / len(symbols))
-        if rho > lower or (
+        # A proper power u^m has u's normalized radius, which was read when u
+        # popped, so it can win only by rounding.
+        if (rho > lower or (
             rho == lower
             and witness is not None
             and (len(symbols), symbols) < (len(witness), witness.symbols)
-        ):
+        )) and not _is_proper_power(symbols):
             lower = rho
             witness = Word(symbols, alphabet_size=k)
         if m <= lower * (1.0 + target_gap):
@@ -368,29 +377,29 @@ def growth_curve(
     if n_eff == 0:
         raise BudgetExceededError("budget does not cover depth 1", spent=k, budget=budget)
     gens = system.generators
-    one_step = max(op_norm(g) for g in gens)
+    log_one_step = math.log(max(op_norm(g) for g in gens))
     best = [-math.inf] * (n_eff + 1)
     argmax: list[tuple[int, ...] | None] = [None] * (n_eff + 1)
     every = range(1, k + 1)
     # Lexicographic depth-first order makes first strict improvements the
     # smallest argmax words; children reuses the body's reachability test.
-    for symbols, prod in word_tree(gens, n_eff, np.eye(system.dim),
+    for symbols, prod in word_tree(gens, n_eff, LogScaledMatrix.identity(system.dim),
                                    lambda symbols, prod: every if reachable else ()):
         j = len(symbols)
-        v = op_norm(prod)
+        v = prod.log_op_norm
         if v > best[j]:
             best[j] = v
             argmax[j] = symbols
         reachable = False
         bound = v
         for r in range(j + 1, n_eff + 1):
-            bound *= one_step
+            bound += log_one_step
             if bound > best[r]:
                 reachable = True
                 break
     words = tuple(Word(argmax[j], alphabet_size=k) for j in range(1, n_eff + 1))
     return GrowthCurve(
-        log_max_norms=np.log(np.array(best[1:])),
+        log_max_norms=np.array(best[1:]),
         argmax_words=words,
         n_max=n_eff,
         truncated=n_eff < n_max,

@@ -180,11 +180,15 @@ def test_find_witness_counts_every_prefix_product(k, max_len):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_find_witness_refuses_overflowed_products(dim):
+def test_find_witness_scans_products_past_float_range(dim):
+    # Products reach 1e600, and no word contracts, so every length is scanned.
     system = MatrixSystem([1e200 * np.eye(dim), np.eye(dim)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(InvalidInputError, match="finite"):
-            find_witness(system, max_len=3)
+    search = find_witness(system, max_len=3)
+    assert search.witness is None
+    assert search.contracting is None
+    assert search.expanding[0].symbols == (1,)
+    assert search.expanding[1] == pytest.approx(1e200, rel=1e-12)
+    assert search.nodes == 22
 
 
 @pytest.mark.parametrize("budget", [None, 2.5, True, -1])

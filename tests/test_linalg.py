@@ -203,8 +203,7 @@ def test_log_scaled_identity_and_from_matrix():
     assert ident.log_scale == 0.0
     assert np.allclose(ident.dense(), np.eye(3))
     m = LogScaledMatrix.from_matrix(np.diag([4.0, 4.0]))
-    assert op_norm(m.unit) == pytest.approx(1.0, abs=1e-12)
-    assert m.log_scale == pytest.approx(math.log(4.0), abs=1e-12)
+    assert m.log_op_norm == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2.5, True, "2", None])
@@ -223,7 +222,39 @@ def test_log_scaled_band_maintained():
     state = LogScaledMatrix.identity(3)
     for _ in range(200):
         state = state.left_multiply(rng.standard_normal((3, 3)))
-        assert 0.5 - 1e-12 <= op_norm(state.unit) <= 2.0 + 1e-12
+        assert 0.5 <= np.abs(state.unit).max() <= 2.0
+
+
+def test_left_multiply_computes_no_norm(monkeypatch):
+    def refuse(a):
+        raise AssertionError("left_multiply computed a norm")
+
+    monkeypatch.setattr("chaoslab.linalg._singular_extremes", refuse)
+    rng = np.random.default_rng(5)
+    state = LogScaledMatrix.from_matrix(rng.standard_normal((2, 2)))
+    for scale in (1.0, 1e-3, 1e3) * 20:
+        state = state.left_multiply(scale * rng.standard_normal((2, 2)))
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300, 1e-310])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_log_scaled_walk_past_float_range_matches_mpmath(scale, dim):
+    # Every partial product leaves the float range from the second step on,
+    # and 1e-310 makes the generators subnormal.  The oracle multiplies the
+    # same float entries in mpmath, whose exponents are unbounded.
+    import mpmath
+    rng = np.random.default_rng(17)
+    gens = [scale * rng.standard_normal((dim, dim)) for _ in range(2)]
+    state = LogScaledMatrix.identity(dim)
+    with mpmath.workdps(40):
+        exact = mpmath.eye(dim)
+        for step in range(50):
+            g = gens[step % 2]
+            state = state.left_multiply(g)
+            exact = mpmath.matrix(g.tolist()) * exact
+            assert np.isfinite(state.unit).all()
+        want = float(mpmath.log(max(mpmath.svd_r(exact, compute_uv=False))))
+    assert state.log_op_norm == pytest.approx(want, rel=1e-12)
 
 
 def test_log_scaled_matches_extended_precision():
@@ -253,6 +284,23 @@ def test_log_scaled_huge_growth_stays_finite():
         state = state.left_multiply(g)
     assert state.log_op_norm == pytest.approx(5000 * math.log(2.0), rel=1e-12)
     assert np.isfinite(state.unit).all()
+
+
+def test_left_multiply_refuses_zero_and_non_finite_products():
+    state = LogScaledMatrix(np.array([[1.5, 0.5], [-1.5, 0.5]]), 0.0)
+    with pytest.raises(InvalidInputError, match="collapsed to the zero matrix"):
+        state.left_multiply(np.zeros((2, 2)))
+
+    class NanAfterFiniteEntries:
+        # Without fused multiply-adds, inf - inf in one entry of an
+        # overflowing product leaves a NaN beside finite entries.
+        def __matmul__(self, unit):
+            return np.array([[1.0, 1.0], [math.nan, 4.0]])
+
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        state.left_multiply(NanAfterFiniteEntries())
+    with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="must be finite"):
+        state.left_multiply(np.array([[1.5e308, 1.5e308], [1.0, 1.0]]))
 
 
 def test_log_scaled_co_norm_of_singular_product():
@@ -335,7 +383,7 @@ def _all_words(k, depth):
 
 def test_word_tree_order_k3_depth3():
     gens = [np.eye(2)] * 3
-    got = [symbols for symbols, _ in word_tree(gens, 3, np.eye(2))]
+    got = [symbols for symbols, _ in word_tree(gens, 3, LogScaledMatrix.identity(2))]
     # Tuple order puts every word before its extensions and siblings lexicographically.
     assert got == sorted(_all_words(3, 3))
     assert got[:5] == [(1,), (1, 1), (1, 1, 1), (1, 1, 2), (1, 1, 3)]
@@ -346,7 +394,7 @@ def test_word_tree_empty_children_skip_only_that_subtree():
     gens = [np.eye(2)] * 3
     got = [
         symbols
-        for symbols, _ in word_tree(gens, 4, np.eye(2),
+        for symbols, _ in word_tree(gens, 4, LogScaledMatrix.identity(2),
                                     lambda symbols, prod: () if symbols == (1, 2) else (1, 2, 3))
     ]
     want = [w for w in sorted(_all_words(3, 4)) if not (w[:2] == (1, 2) and len(w) > 2)]
@@ -360,7 +408,7 @@ def test_word_tree_children_runs_after_the_loop_body():
         events.append(("children", symbols))
         return (1, 2)
 
-    for symbols, _ in word_tree([np.eye(1)] * 2, 2, np.eye(1), children):
+    for symbols, _ in word_tree([np.eye(1)] * 2, 2, LogScaledMatrix.identity(1), children):
         events.append(("body", symbols))
     assert events == [
         ("body", (1,)), ("children", (1,)), ("body", (1, 1)), ("body", (1, 2)),
@@ -388,7 +436,7 @@ def test_word_tree_never_multiplies_a_child_outside_children(monkeypatch):
 
 
 def test_word_tree_depth_zero_yields_nothing():
-    assert list(word_tree([np.eye(2)], 0, np.eye(2))) == []
+    assert list(word_tree([np.eye(2)], 0, LogScaledMatrix.identity(2))) == []
 
 
 def test_word_tree_log_scaled_start_matches_word_product_bitwise():
@@ -402,18 +450,20 @@ def test_word_tree_log_scaled_start_matches_word_product_bitwise():
         assert prod.log_scale == want.log_scale
 
 
-def test_word_tree_array_start_matches_chained_products():
+def test_word_tree_products_are_chained_float_products_times_powers_of_two():
     rng = np.random.default_rng(4)
-    gens = [rng.normal(size=(3, 3)) for _ in range(2)]
-    start = rng.normal(size=(3, 2))
-    for symbols, prod in word_tree(gens, 6, start):
-        want = start
+    # Norms far from 1 force a rescaling at most steps.
+    gens = [3.0 * rng.normal(size=(3, 3)), 0.2 * rng.normal(size=(3, 3))]
+    for symbols, prod in word_tree(gens, 6, LogScaledMatrix.identity(3)):
+        want = np.eye(3)
         for sym in symbols:
             want = gens[sym - 1] @ want
-        assert prod.tobytes() == want.tobytes()
+        k = math.frexp(np.abs(want).max())[1] - math.frexp(np.abs(prod.unit).max())[1]
+        assert prod.unit.tobytes() == np.ldexp(want, -k).tobytes()
+        assert prod.log_scale == pytest.approx(k * math.log(2.0), abs=1e-12)
 
 
 def test_word_tree_walks_deep_single_letter_trees():
-    words = list(word_tree([np.array([[1.0]])], 3000, np.eye(1)))
+    words = list(word_tree([np.array([[1.0]])], 3000, LogScaledMatrix.identity(1)))
     assert len(words) == 3000
     assert words[-1][0] == (1,) * 3000

@@ -284,6 +284,19 @@ def test_jsr_bracket_soundness_random():
         assert bracket.upper <= max(op_norm(g) for g in gens) * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_jsr_witness_is_no_proper_power(seed):
+    # w is a proper power exactly when it occurs inside (ww) minus its ends.
+    system = MatrixSystem(list(np.random.default_rng(seed).standard_normal((2, 2, 2))))
+    bracket = jsr_bracket(system, budget=2000, target_gap=1e-6)
+    w = bracket.lower_witness.symbols
+    assert not any((w + w)[i:i + len(w)] == w for i in range(1, len(w)))
+    radius = math.exp(system.word_product(w).log_spectral_radius / len(w))
+    assert bracket.lower == radius
+    if seed == 0:
+        assert w == (2,)
+
+
 def test_jsr_validation(shear06):
     with pytest.raises(InvalidInputError):
         jsr_bracket(shear06, budget=1)
