@@ -18,15 +18,8 @@ import numpy as np
 
 from .errors import (BudgetExceededError, InvalidInputError, _require, require_fraction,
                      require_int, require_positive)
-from .linalg import (
-    ABS_TOL,
-    SINGULARITY_RTOL,
-    LogScaledMatrix,
-    _singular_extremes,
-    as_matrix,
-    walk,
-    word_tree,
-)
+from .linalg import (ABS_TOL, SINGULARITY_RTOL, LogScaledMatrix, as_matrix, co_norm, op_norm, walk,
+                     word_tree)
 from .switching import ConstructedLaw, ExplicitLaw, SwitchingLaw, Word
 
 # Node cap for the length-increasing witness scan.
@@ -56,7 +49,7 @@ class MatrixSystem:
                 raise InvalidInputError(
                     f"generator {label} has dimension {g.shape[0]}, expected {dim}"
                 )
-            top, bottom = _singular_extremes(g)
+            top, bottom = op_norm(g), co_norm(g)
             if bottom <= SINGULARITY_RTOL * top:
                 raise InvalidInputError(
                     f"generator {label} is singular within tolerance "
@@ -144,6 +137,13 @@ class Refusal:
         return "; ".join(parts)
 
 
+def _witness_sides(log_top: float, log_bottom: float, tol: float) -> tuple[bool, bool]:
+    """The one witness rule, read on log norms: whether an op-norm
+    exp(log_top) contracts below 1 - tol and whether a co-norm
+    exp(log_bottom) expands above 1 + tol."""
+    return log_top < math.log(1.0 - tol), log_bottom > math.log(1.0 + tol)
+
+
 def verify_witness(system: MatrixSystem, contract_word: Word, expand_word: Word,
                    tol: float = ABS_TOL) -> WitnessPair | Refusal:
     """Check a candidate pair of words against the strict norm thresholds.
@@ -157,12 +157,14 @@ def verify_witness(system: MatrixSystem, contract_word: Word, expand_word: Word,
         system._require_alphabet(word, f"{name} word")
         if len(word) == 0:
             raise InvalidInputError(f"{name} word must be nonempty")
-    top = math.exp(system.word_product(contract_word).log_op_norm)
-    bottom = math.exp(system.word_product(expand_word).log_co_norm)
+    log_top = system.word_product(contract_word).log_op_norm
+    log_bottom = system.word_product(expand_word).log_co_norm
+    contracts, expands = _witness_sides(log_top, log_bottom, tol)
+    top, bottom = math.exp(log_top), math.exp(log_bottom)
     failures = []
-    if not top < 1.0 - tol:
+    if not contracts:
         failures.append(RefusalReason("contracting", contract_word, top))
-    if not bottom > 1.0 + tol:
+    if not expands:
         failures.append(RefusalReason("expanding", expand_word, bottom))
     if failures:
         return Refusal(tuple(failures))
@@ -204,10 +206,8 @@ def find_witness(system: MatrixSystem, max_len: int = 12,
     max_len = require_int(max_len, 1, "max_len must be a positive integer")
     budget = require_int(budget, 0, "budget must be a nonnegative integer")
     tol = require_fraction(tol, "tol must lie in [0, 1)")
-    log_below, log_above = math.log(1.0 - tol), math.log(1.0 + tol)
-    start = LogScaledMatrix.identity(system.dim)
     scan = ((length, symbols, prod) for length in range(1, max_len + 1)
-            for symbols, prod in word_tree(system.generators, length, start))
+            for symbols, prod in word_tree(system.generators, length))
     found_contract: tuple[Word, float] | None = None
     found_expand: tuple[Word, float] | None = None
     for nodes, (length, symbols, prod) in enumerate(scan, start=1):
@@ -217,12 +217,11 @@ def find_witness(system: MatrixSystem, max_len: int = 12,
             )
         if len(symbols) < length:
             continue
-        top, bottom = _singular_extremes(prod.unit)
-        log_top = prod.log_scale + math.log(top)
-        log_bottom = prod.log_scale + math.log(bottom) if bottom > 0.0 else -math.inf
-        if found_contract is None and log_top < log_below:
+        log_top, log_bottom = prod.log_norms
+        contracts, expands = _witness_sides(log_top, log_bottom, tol)
+        if found_contract is None and contracts:
             found_contract = (system.word(symbols), math.exp(log_top))
-        if found_expand is None and log_bottom > log_above:
+        if found_expand is None and expands:
             found_expand = (system.word(symbols), math.exp(log_bottom))
         if found_contract is not None and found_expand is not None:
             break
@@ -319,42 +318,33 @@ def construct_chaotic_law(system: MatrixSystem, witness: WitnessPair, target_pre
     block_norms: list[tuple[float, float]] = []
     violations: list[int] = []
 
-    def apply_word(state: LogScaledMatrix, word: Word) -> LogScaledMatrix:
-        nonlocal applications
-        applications += 1
-        if applications > budget:
-            raise BudgetExceededError(
-                "greedy exponent search exceeded its application budget",
-                spent=applications,
-                budget=budget,
-            )
-        for state in walk(system.generators, word.symbols, state):
-            pass
-        return state
+    def cross(word: Word, norm: str, reached) -> tuple[int, float]:
+        """Apply ``word`` to the running product until ``reached`` holds for
+        its log norm ``norm``; return the applications and that log norm."""
+        nonlocal running, applications
+        count = 0
+        while True:
+            applications += 1
+            if applications > budget:
+                raise BudgetExceededError("greedy exponent search exceeded its application budget",
+                                          spent=applications, budget=budget)
+            for running in walk(system.generators, word.symbols, running):
+                pass
+            count += 1
+            value = getattr(running, norm)
+            if reached(value):
+                return count, value
 
     for k in range(1, k_max + 1):
         low_target = -math.log(k) - margin
         high_target = math.log(k) + margin
-        l_count = 0
-        while True:
-            running = apply_word(running, i_word)
-            l_count += 1
-            if running.log_op_norm <= low_target:
-                break
-        position += l_count * len(i_word)
-        time_below = position
-        log_op_end = running.log_op_norm
-        big_count = 0
-        while True:
-            running = apply_word(running, j_word)
-            big_count += 1
-            if running.log_co_norm >= high_target:
-                break
-        position += big_count * len(j_word)
-        time_above = position
+        l_count, log_op_end = cross(i_word, "log_op_norm", lambda v: v <= low_target)
+        time_below = position + l_count * len(i_word)
+        big_count, log_co_end = cross(j_word, "log_co_norm", lambda v: v >= high_target)
+        position = time_below + big_count * len(j_word)
         schedule.append((l_count, big_count))
-        crossings.append((k, time_below, time_above))
-        block_norms.append((log_op_end, running.log_co_norm))
+        crossings.append((k, time_below, position))
+        block_norms.append((log_op_end, log_co_end))
         if not l_count < big_count:
             violations.append(k)
 

@@ -322,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--word-len", type=int, default=12, help="maximum witness word length")
     p.add_argument("--kmax", type=int, default=2, help="certificate depth")
-    p.add_argument("--tol", type=float, default=1e-12, help="strictness margin on the norm tests")
+    p.add_argument("--tol", type=float, default=chaos.ABS_TOL,
+                   help="strictness margin on the norm tests")
     p.add_argument("--budget", type=int, default=chaos.DEFAULT_SEARCH_BUDGET,
                    help="matrix product budget for the scan")
     p.add_argument("--out", help="write the constructed law to this path")

@@ -186,17 +186,23 @@ class LogScaledMatrix:
         return self._trusted(np.ldexp(raw, -e), self.log_scale + e * math.log(2.0))
 
     # The reads below skip ``as_matrix``: every unit was validated on entry.
+    # They are the only code that turns ``unit`` and ``log_scale`` into norms.
+
+    @property
+    def log_norms(self) -> tuple[float, float]:
+        """(log_op_norm, log_co_norm) from one singular-value evaluation;
+        the co-norm's log is -inf for a singular unit."""
+        top, bottom = _singular_extremes(self.unit)
+        return (self.log_scale + math.log(top),
+                self.log_scale + math.log(bottom) if bottom > 0.0 else -math.inf)
 
     @property
     def log_op_norm(self) -> float:
-        return self.log_scale + math.log(_singular_extremes(self.unit)[0])
+        return self.log_norms[0]
 
     @property
     def log_co_norm(self) -> float:
-        co = _singular_extremes(self.unit)[1]
-        if co == 0.0:
-            return float("-inf")
-        return self.log_scale + math.log(co)
+        return self.log_norms[1]
 
     @property
     def log_spectral_radius(self) -> float:
@@ -222,24 +228,24 @@ def walk(generators, symbols, start: LogScaledMatrix | None = None):
         yield prod
 
 
-def word_tree(generators, depth: int, start: LogScaledMatrix, children=None):
+def word_tree(generators, depth: int, children=None):
     """Yield (symbols, product) for words of length 1..depth.
 
     Words come depth first in lexicographic order, each before its
     extensions.  A word's product is formed from its parent's with one
     ``parent.left_multiply(g)`` when the word is reached, the root's being
-    ``start``.  Once the consumer has handled a word shorter than ``depth``,
-    the walk extends it by the ascending symbols ``children(symbols,
-    product)`` returns, every symbol when ``children`` is None; other
-    extensions are never multiplied.  Every lexicographic word-tree search
-    in the package runs on this walk.
+    the identity of the generators' dimension.  Once the consumer has
+    handled a word shorter than ``depth``, the walk extends it by the
+    ascending symbols ``children(symbols, product)`` returns, every symbol
+    when ``children`` is None; other extensions are never multiplied.
+    Every lexicographic word-tree search in the package runs on this walk.
     """
     if depth < 1:
         return
     every = range(1, len(generators) + 1)
     # One frame per word being extended: its symbols, its product and the
     # child symbols not yet tried after it.
-    frames = [((), start, iter(every))]
+    frames = [((), LogScaledMatrix.identity(generators[0].shape[0]), iter(every))]
     while frames:
         prefix, parent, untried = frames[-1]
         for sym in untried:

@@ -78,27 +78,14 @@ def run_evidence(law: SwitchingLaw, horizon: int, max_run: int) -> RunEvidence:
         for length in range(1, min(longest, max_run) + 1):
             start = run_end - length + 1  # latest start of a sub-run this long
             table[length] = max(table.get(length, -1), start - 1)
-    witness = None
-    for sym in range(1, law.alphabet_size + 1):
-        if all(length in per_symbol[sym] for length in range(1, max_run + 1)):
-            witness = sym
-            break
-    if witness is None:
-        return RunEvidence(
-            verdict=INCONSISTENT,
-            symbol=None,
-            thresholds=(),
-            per_symbol=per_symbol,
-            horizon=horizon,
-            max_run=max_run,
-        )
-    thresholds = tuple(
-        (length, per_symbol[witness][length]) for length in range(1, max_run + 1)
-    )
+    lengths = range(1, max_run + 1)
+    witness = next((sym for sym, table in per_symbol.items()
+                    if all(length in table for length in lengths)), None)
     return RunEvidence(
-        verdict=CONSISTENT,
+        verdict=INCONSISTENT if witness is None else CONSISTENT,
         symbol=witness,
-        thresholds=thresholds,
+        thresholds=() if witness is None else tuple(
+            (length, per_symbol[witness][length]) for length in lengths),
         per_symbol=per_symbol,
         horizon=horizon,
         max_run=max_run,

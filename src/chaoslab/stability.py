@@ -108,7 +108,6 @@ def necklace_log_radii(system: MatrixSystem, max_len: int):
     k = system.alphabet_size
     periods = [0] * (max_len + 1)  # periods[n]: FKM period of the current word of length n
     for symbols, prod in word_tree(system.generators, max_len,
-                                   LogScaledMatrix.identity(system.dim),
                                    lambda symbols, prod: range(symbols[n - period], k + 1)):
         n = len(symbols)
         period = periods[n - 1]
@@ -267,7 +266,6 @@ def jsr_bracket(
         stack.extend(children)
 
     push_children((), LogScaledMatrix.identity(system.dim), math.inf)
-    exhausted = False
     while stack:
         symbols, prod, m = stack.pop()
         depth = max(depth, len(symbols))
@@ -285,14 +283,10 @@ def jsr_bracket(
             continue
         if nodes + k > budget:
             stack.append((symbols, prod, m))
-            exhausted = True
             break
         push_children(symbols, prod, m)
-    if exhausted:
-        frontier = max(entry[2] for entry in stack)
-        raw_upper = max(lower * (1.0 + target_gap), frontier)
-    else:
-        raw_upper = lower * (1.0 + target_gap)
+    # The stack is empty unless the budget ran out; then it is the frontier.
+    raw_upper = max([lower * (1.0 + target_gap)] + [entry[2] for entry in stack])
     upper = max(lower, min(raw_upper, one_step))
     converged = upper <= lower * (1.0 + target_gap) * (1.0 + 1e-15)
     return JsrBracket(
@@ -315,8 +309,10 @@ def jsr_bracket(
 class GrowthCurve:
     """Exact per-length maxima of ||S_w|| with the words attaining them.
 
-    ``log_max_norms[n - 1]`` is log max over |w| = n of ||S_w|| and
-    ``argmax_words[n - 1]`` is the lexicographically first maximizer.
+    ``log_max_norms[n - 1]`` is the largest computed log ||S_w|| over |w| = n
+    and ``argmax_words[n - 1]`` is the lexicographically first word whose
+    computed log norm equals it.  Words whose exact norms tie are told apart
+    by rounding, so any of them may be reported.
     """
 
     log_max_norms: np.ndarray
@@ -381,10 +377,10 @@ def growth_curve(
     best = [-math.inf] * (n_eff + 1)
     argmax: list[tuple[int, ...] | None] = [None] * (n_eff + 1)
     every = range(1, k + 1)
-    # Lexicographic depth-first order makes first strict improvements the
-    # smallest argmax words; children reuses the body's reachability test.
-    for symbols, prod in word_tree(gens, n_eff, LogScaledMatrix.identity(system.dim),
-                                   lambda symbols, prod: every if reachable else ()):
+    # Lexicographic depth-first order makes first strict improvements of the
+    # computed norm the smallest argmax words; children reuses the body's
+    # reachability test.
+    for symbols, prod in word_tree(gens, n_eff, lambda symbols, prod: every if reachable else ()):
         j = len(symbols)
         v = prod.log_op_norm
         if v > best[j]:

@@ -59,8 +59,9 @@ class SwitchingLaw(abc.ABC):
     """An infinite sequence of generator labels, evaluated at times n >= 1.
 
     Each law describes itself as a stream of ``(symbols, count)`` segments:
-    the nonempty tuple ``symbols`` repeated ``count`` times, where the last
-    segment a law yields has count ``math.inf``.
+    the nonempty sequence ``symbols`` repeated ``count`` times.  The stream
+    never ends, or its last segment has count ``math.inf``; it is advanced
+    only as far as the times asked for.
     """
 
     @property
@@ -84,12 +85,11 @@ class SwitchingLaw(abc.ABC):
         """Symbols at times 1..horizon as a list."""
         horizon = require_int(horizon, 0, "horizon must be a nonnegative integer")
         out: list[int] = []
-        for symbols, count in self._segments():
-            need = horizon - len(out)
-            if need <= 0:
-                break
-            out.extend(symbols * min(count, -(-need // len(symbols))))
-        del out[horizon:]
+        segments = self._segments()
+        while len(out) < horizon:
+            symbols, count = next(segments)
+            span = min(len(symbols) * count, horizon - len(out))
+            out.extend(itertools.islice(itertools.cycle(symbols), span))
         return out
 
     @abc.abstractmethod
@@ -241,6 +241,25 @@ def doubling_law() -> SwitchingLaw:
     return _DoublingLaw()
 
 
+class _SuperBlock:
+    """The symbols ``i * l + j * L``, indexed arithmetically and iterated
+    lazily, so a segment of huge exponents is never built as a tuple."""
+
+    def __init__(self, i: tuple[int, ...], j: tuple[int, ...], l: int, L: int):
+        self._parts = ((i, l * len(i)), (j, L * len(j)))
+
+    def __len__(self) -> int:
+        return self._parts[0][1] + self._parts[1][1]
+
+    def __getitem__(self, r: int) -> int:
+        (i, head), (j, _) = self._parts
+        return i[r % len(i)] if r < head else j[(r - head) % len(j)]
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(
+            itertools.islice(itertools.cycle(word), span) for word, span in self._parts)
+
+
 class ConstructedLaw(SwitchingLaw):
     """Prefix followed by alternating word powers i^l_1 j^L_1 i^l_2 j^L_2 ...
 
@@ -275,8 +294,7 @@ class ConstructedLaw(SwitchingLaw):
         for l, L in self._schedule:
             yield self._i.symbols, l
             yield self._j.symbols, L
-        l, L = self._schedule[-1]
-        yield self._i.symbols * l + self._j.symbols * L, math.inf
+        yield _SuperBlock(self._i.symbols, self._j.symbols, *self._schedule[-1]), math.inf
 
     @property
     def alphabet_size(self) -> int:

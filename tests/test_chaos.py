@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoslab import (
     CONTRACTING,
@@ -23,6 +25,7 @@ from chaoslab import (
     simulate,
     verify_witness,
 )
+from chaoslab import linalg
 
 LN2 = math.log(2.0)
 
@@ -195,6 +198,48 @@ def test_find_witness_scans_products_past_float_range(dim):
 def test_find_witness_budget_is_validated(budget):
     with pytest.raises(InvalidInputError):
         find_witness(shear_pair(0.8, 1.3), max_len=3, budget=budget)
+
+
+def test_find_witness_reads_norms_once_per_full_length_word(monkeypatch):
+    # No word of the 0.6 shear pair expands, so every length is scanned in
+    # full: 2 + 4 + ... + 64 words, and prefixes shorter than the length
+    # being scanned are multiplied but never read.
+    system = shear_pair(0.6, 0.6)
+    calls = []
+    inner = linalg._singular_extremes
+
+    def counted(a):
+        calls.append(a.shape)
+        return inner(a)
+
+    monkeypatch.setattr(linalg, "_singular_extremes", counted)
+    search = find_witness(system, max_len=6)
+    assert search.witness is None and search.contracting is not None
+    assert len(calls) == 126
+
+
+@st.composite
+def witness_systems(draw):
+    k, dim = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Near-orthogonal generators, the first scaled below 1 and the second
+    # above, so nearly every draw has a witness pair among short words.
+    gens = []
+    for low, high in ((0.4, 0.9), (1.1, 2.5), (0.5, 2.0))[:k]:
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        scale = draw(st.floats(low, high))
+        gens.append(scale * (q + 0.1 * rng.standard_normal((dim, dim))))
+    return MatrixSystem(gens)
+
+
+@settings(max_examples=120, deadline=None)
+@given(system=witness_systems(), tol=st.sampled_from([0.0, 1e-12, 0.1]))
+def test_every_found_witness_passes_verify_witness_with_the_same_norms(system, tol):
+    pair = find_witness(system, max_len=3, tol=tol).witness
+    if pair is None:
+        return
+    again = verify_witness(system, pair.contracting, pair.expanding, tol=tol)
+    assert again == pair
 
 
 # ---------------------------------------------------------------------------

@@ -383,7 +383,7 @@ def _all_words(k, depth):
 
 def test_word_tree_order_k3_depth3():
     gens = [np.eye(2)] * 3
-    got = [symbols for symbols, _ in word_tree(gens, 3, LogScaledMatrix.identity(2))]
+    got = [symbols for symbols, _ in word_tree(gens, 3)]
     # Tuple order puts every word before its extensions and siblings lexicographically.
     assert got == sorted(_all_words(3, 3))
     assert got[:5] == [(1,), (1, 1), (1, 1, 1), (1, 1, 2), (1, 1, 3)]
@@ -394,7 +394,7 @@ def test_word_tree_empty_children_skip_only_that_subtree():
     gens = [np.eye(2)] * 3
     got = [
         symbols
-        for symbols, _ in word_tree(gens, 4, LogScaledMatrix.identity(2),
+        for symbols, _ in word_tree(gens, 4,
                                     lambda symbols, prod: () if symbols == (1, 2) else (1, 2, 3))
     ]
     want = [w for w in sorted(_all_words(3, 4)) if not (w[:2] == (1, 2) and len(w) > 2)]
@@ -408,7 +408,7 @@ def test_word_tree_children_runs_after_the_loop_body():
         events.append(("children", symbols))
         return (1, 2)
 
-    for symbols, _ in word_tree([np.eye(1)] * 2, 2, LogScaledMatrix.identity(1), children):
+    for symbols, _ in word_tree([np.eye(1)] * 2, 2, children):
         events.append(("body", symbols))
     assert events == [
         ("body", (1,)), ("children", (1,)), ("body", (1, 1)), ("body", (1, 2)),
@@ -428,7 +428,7 @@ def test_word_tree_never_multiplies_a_child_outside_children(monkeypatch):
 
     monkeypatch.setattr(LogScaledMatrix, "left_multiply", counted)
     # Extend a word only by symbols at least its last one: nondecreasing words.
-    got = [symbols for symbols, _ in word_tree(gens, 4, LogScaledMatrix.identity(2),
+    got = [symbols for symbols, _ in word_tree(gens, 4,
                                                lambda symbols, prod: range(symbols[-1], 4))]
     want = [w for w in sorted(_all_words(3, 4)) if list(w) == sorted(w)]
     assert got == want
@@ -436,7 +436,7 @@ def test_word_tree_never_multiplies_a_child_outside_children(monkeypatch):
 
 
 def test_word_tree_depth_zero_yields_nothing():
-    assert list(word_tree([np.eye(2)], 0, LogScaledMatrix.identity(2))) == []
+    assert list(word_tree([np.eye(2)], 0)) == []
 
 
 def test_word_tree_log_scaled_start_matches_word_product_bitwise():
@@ -444,7 +444,7 @@ def test_word_tree_log_scaled_start_matches_word_product_bitwise():
     # Norms far from 1 force renormalization at most steps.
     gens = [3.0 * rng.normal(size=(2, 2)), 0.2 * rng.normal(size=(2, 2)), rng.normal(size=(2, 2))]
     system = MatrixSystem(gens)
-    for symbols, prod in word_tree(gens, 5, LogScaledMatrix.identity(2)):
+    for symbols, prod in word_tree(gens, 5):
         want = system.word_product(symbols)
         assert prod.unit.tobytes() == want.unit.tobytes()
         assert prod.log_scale == want.log_scale
@@ -454,7 +454,7 @@ def test_word_tree_products_are_chained_float_products_times_powers_of_two():
     rng = np.random.default_rng(4)
     # Norms far from 1 force a rescaling at most steps.
     gens = [3.0 * rng.normal(size=(3, 3)), 0.2 * rng.normal(size=(3, 3))]
-    for symbols, prod in word_tree(gens, 6, LogScaledMatrix.identity(3)):
+    for symbols, prod in word_tree(gens, 6):
         want = np.eye(3)
         for sym in symbols:
             want = gens[sym - 1] @ want
@@ -464,6 +464,6 @@ def test_word_tree_products_are_chained_float_products_times_powers_of_two():
 
 
 def test_word_tree_walks_deep_single_letter_trees():
-    words = list(word_tree([np.array([[1.0]])], 3000, LogScaledMatrix.identity(1)))
+    words = list(word_tree([np.array([[1.0]])], 3000))
     assert len(words) == 3000
     assert words[-1][0] == (1,) * 3000

@@ -335,6 +335,31 @@ def test_growth_block_system_is_linear():
     assert curve.argmax_words[-1].symbols == (1, 2) * 7
 
 
+def test_growth_exact_tie_reports_a_true_maximizer():
+    # The bench's shear block: at n = 11 the alternating words starting with
+    # 1 and with 2 have equal exact norms, so rounding picks the reported one.
+    import mpmath
+
+    zero = np.zeros((2, 2))
+    shear = shear_pair(0.6, 0.6).generators
+    rho = 0.6 * (1.0 + math.sqrt(5.0)) / 2.0
+    gens = [np.block([[g, g], [zero, g]]) for g in np.array(shear) / rho]
+    tied = ((1, 2) * 5 + (1,), (2, 1) * 5 + (2,))
+    reported = growth_curve(MatrixSystem(gens), 12).argmax_words[10].symbols
+    assert reported in tied
+
+    def exact_norm(word):
+        with mpmath.workdps(50):
+            p = mpmath.eye(4)
+            for sym in word:
+                p = mpmath.matrix(gens[sym - 1].tolist()) * p
+            return max(mpmath.svd_r(p, compute_uv=False))
+
+    with mpmath.workdps(50):
+        best = max(exact_norm(w) for w in tied)
+        assert abs(exact_norm(reported) - best) <= 1e-20 * best
+
+
 def test_growth_diag_pair_doubles(diag_pair):
     curve = growth_curve(diag_pair, 10)
     for n in range(1, 11):

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +225,23 @@ def test_constructed_law_far_symbol_by_super_block_arithmetic():
     block = (1, 2) * 4 + (3,) * 5
     n = 10**12
     assert law.symbol(n) == block[(n - finite - 1) % len(block)]
+
+
+def test_constructed_law_reads_past_its_schedule_without_building_the_super_block():
+    # The super-block i^L j^L here would hold 2e6 symbols (16 MB of pointers).
+    law = ConstructedLaw(Word((), 2), Word((1,), 2), Word((2,), 2), [(10**6, 10**6)])
+    tracemalloc.start()
+    try:
+        assert law.symbol(3 * 10**6 + 5) == 2
+        symbol_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        seq = law.sequence(2 * 10**6)
+        sequence_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert symbol_peak < 1e6
+    assert seq == [1] * 10**6 + [2] * 10**6
+    assert sequence_peak < 1.5 * sys.getsizeof(seq)
 
 
 # ---------------------------------------------------------------------------
