@@ -152,7 +152,7 @@ class LogScaledMatrix:
     @classmethod
     def _trusted(cls, unit: np.ndarray, log_scale: float) -> "LogScaledMatrix":
         """Wrap a finite square unit and a finite scale without checking them
-        again; identity and left_multiply build through here."""
+        again; identity, left_multiply and walk_rows build through here."""
         self = object.__new__(cls)
         unit.setflags(write=False)
         vars(self).update(unit=unit, log_scale=log_scale)
@@ -220,12 +220,44 @@ def walk(generators, symbols, start: LogScaledMatrix | None = None):
 
     ``generators`` are validated d x d arrays indexed by 1-based labels and
     ``start`` defaults to the identity.  This is the one place a product is
-    carried along a symbol stream.
+    carried along a symbol stream; ``walk_rows`` carries many streams at once.
     """
     prod = LogScaledMatrix.identity(generators[0].shape[0]) if start is None else start
     for sym in symbols:
         prod = prod.left_multiply(generators[sym - 1])
         yield prod
+
+
+def walk_rows(generators, draws) -> list[LogScaledMatrix]:
+    """Final products S_{s_n} ... S_{s_1} of the rows of an (N, n) symbol array.
+
+    The N running products are carried together on one (N, d, d) unit stack
+    with a log scale per row, one step per column.  Each row follows
+    ``left_multiply``'s rule on its own: only at the steps where its own
+    largest |entry| leaves the band is it rescaled by an exact power of two,
+    so every product is bit for bit the last one ``walk`` yields on that row,
+    and a row that collapses or overflows raises what ``walk`` raises on the
+    first failing row.
+    """
+    gens = np.stack(generators)
+    units = np.broadcast_to(np.eye(gens.shape[1]), (len(draws), *gens.shape[1:])).copy()
+    scales = np.zeros(len(draws))
+    for column in np.transpose(draws) - 1:
+        units = np.take(gens, column, axis=0) @ units
+        peaks = np.abs(units).max(axis=(1, 2))
+        if not (peaks.min(initial=math.inf) > 0.0 and peaks.max(initial=0.0) < math.inf):
+            # Replaying the rows in order through walk raises left_multiply's
+            # own error for the first row that fails, as the unbatched walk does.
+            for row in draws:
+                for _ in walk(generators, row):
+                    pass
+        e = np.frexp(peaks)[1]
+        # A row inside the band gets e = 0: ldexp by 0 and adding 0.0 to its
+        # scale leave both bit for bit as they were.
+        e[(_BAND_LO <= peaks) & (peaks <= _BAND_HI)] = 0
+        units = np.ldexp(units, -e[:, None, None])
+        scales += e * math.log(2.0)
+    return [LogScaledMatrix._trusted(unit, float(scale)) for unit, scale in zip(units, scales)]
 
 
 def word_tree(generators, depth: int, children=None):

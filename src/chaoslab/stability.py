@@ -15,7 +15,7 @@ import numpy as np
 from .chaos import MatrixSystem
 from .errors import (BudgetExceededError, InvalidInputError, require_fraction, require_int,
                      require_positive)
-from .linalg import LogScaledMatrix, op_norm, walk, word_tree
+from .linalg import LogScaledMatrix, op_norm, walk_rows, word_tree
 from .switching import Word
 
 DEFAULT_STABILITY_TOL = 1e-9
@@ -34,6 +34,9 @@ EXPANDING_OR_NEUTRAL = "nonchaotic-expanding-or-neutral"
 _GROWTH_RISE = math.log(1.25)
 # Mean per-step log drift beyond which a curve is flagged geometric.
 _GEOMETRIC_DRIFT = 0.35
+# lyapunov_mc walks its samples in blocks of at most this many drawn symbols
+# (one row when the horizon is longer), so memory does not grow with samples.
+_MC_BLOCK_SYMBOLS = 2**16
 
 
 def polynomial_growth_exponent(dim: int) -> int:
@@ -604,20 +607,24 @@ def lyapunov_mc(
 ) -> LyapunovEstimate:
     """Monte Carlo estimate of the top Lyapunov exponent.
 
-    Each sample draws ``horizon`` symbols independently and uniformly,
-    accumulates the product in log scale, and contributes
-    log ||product|| / horizon.  Deterministic for a fixed seed.
+    Each sample draws ``horizon`` symbols independently and uniformly and
+    contributes log ||product|| / horizon.  The samples' products are carried
+    together on one stack by ``walk_rows``, with the same log-scale rule per
+    row as a single walk, in blocks of at most ``_MC_BLOCK_SYMBOLS`` draws.
+    Deterministic for a fixed seed.
     """
     samples = require_int(samples, 1, "samples must be a positive integer")
     horizon = require_int(horizon, 1, "horizon must be a positive integer")
     seed = require_int(seed, 0, "seed must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     rates = np.empty(samples)
-    for i in range(samples):
-        draws = rng.integers(1, system.alphabet_size + 1, size=horizon)
-        for prod in walk(system.generators, draws):
-            pass
-        rates[i] = prod.log_op_norm / horizon
+    block = np.empty((min(samples, max(1, _MC_BLOCK_SYMBOLS // horizon)), horizon), dtype=np.int64)
+    for lo in range(0, samples, len(block)):
+        rows = block[:samples - lo]
+        for row in rows:
+            row[:] = rng.integers(1, system.alphabet_size + 1, size=horizon)
+        rates[lo:lo + len(rows)] = [prod.log_op_norm / horizon
+                                    for prod in walk_rows(system.generators, rows)]
     value = float(np.mean(rates))
     stderr = float(np.std(rates, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return LyapunovEstimate(

@@ -118,8 +118,7 @@ class PeriodicLaw(SwitchingLaw):
 
     def sequence(self, horizon: int) -> list[int]:
         horizon = require_int(horizon, 0, "horizon must be a nonnegative integer")
-        reps = (horizon + len(self._word) - 1) // len(self._word)
-        return list(self._word.symbols * reps)[:horizon]
+        return list(itertools.islice(itertools.cycle(self._word.symbols), horizon))
 
     def spec_dict(self) -> dict:
         return {
@@ -167,8 +166,9 @@ class ExplicitLaw(SwitchingLaw):
 
     def sequence(self, horizon: int) -> list[int]:
         horizon = require_int(horizon, 0, "horizon must be a nonnegative integer")
-        head = list(self._prefix.symbols[:horizon])
-        return head + [self._fallback] * (horizon - len(head))
+        head = list(itertools.islice(self._prefix.symbols, horizon))
+        head.extend(itertools.repeat(self._fallback, horizon - len(head)))
+        return head
 
     def spec_dict(self) -> dict:
         return {

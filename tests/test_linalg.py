@@ -12,6 +12,8 @@ from chaoslab import (
     co_norm,
     op_norm,
     spectral_radius,
+    walk,
+    walk_rows,
     word_tree,
 )
 
@@ -467,3 +469,55 @@ def test_word_tree_walks_deep_single_letter_trees():
     words = list(word_tree([np.array([[1.0]])], 3000))
     assert len(words) == 3000
     assert words[-1][0] == (1,) * 3000
+
+
+# ---------------------------------------------------------------------------
+# batched walk
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_walk_rows_is_walk_bit_for_bit(dim, k):
+    # Generator scales from 1e-200 to 1e200 next to scales near 1: some rows
+    # leave the band at every step, others only now and then, each at its
+    # own steps.
+    rng = np.random.default_rng(10 * dim + k)
+    scales = rng.choice([1e-200, 0.7, 1.0, 1.3, 1e200], size=k)
+    gens = [s * random_invertible(rng, dim) for s in scales]
+    draws = rng.integers(1, k + 1, size=(9, 80))
+    prods = walk_rows(gens, draws)
+    assert len(prods) == len(draws)
+    for row, prod in zip(draws, prods):
+        *_, last = walk(gens, row)
+        assert prod.unit.tobytes() == last.unit.tobytes()
+        assert prod.log_scale == last.log_scale
+
+
+def test_walk_rows_of_no_rows_or_no_steps():
+    assert walk_rows([SHEAR], np.ones((0, 5), dtype=int)) == []
+    (prod,) = walk_rows([SHEAR], np.ones((1, 0), dtype=int))
+    assert prod.unit.tobytes() == np.eye(2).tobytes() and prod.log_scale == 0.0
+
+
+# Row 1 collapses at its second step, row 2 overflows at its first; the
+# unbatched walk meets row 1 first.
+_PROJ = np.array([[1.0, 0.0], [0.0, 0.0]])
+_NILP = np.array([[0.0, 0.0], [1.0, 0.0]])
+_HUGE = np.array([[np.inf, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("gens, draws, message", [
+    ([_PROJ, _NILP], [[1, 1, 1], [2, 1, 1]], "product collapsed to the zero matrix"),
+    ([np.eye(2), _HUGE], [[1, 1, 1], [1, 2, 1]], "matrix entries must be finite"),
+    ([_PROJ, _NILP, _HUGE], [[2, 1, 1], [3, 1, 1]], "product collapsed to the zero matrix"),
+    ([_PROJ, _NILP, _HUGE], [[3, 1, 1], [2, 1, 1]], "matrix entries must be finite"),
+])
+def test_walk_rows_raises_what_walk_raises_on_the_first_failing_row(gens, draws, message):
+    draws = np.array(draws)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            for row in draws:
+                for _ in walk(gens, row):
+                    pass
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            walk_rows(gens, draws)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoslab import (
     CONTRACTING,
@@ -24,6 +26,7 @@ from chaoslab import (
     polynomial_growth_exponent,
     product_unbounded_probe,
     shear_pair,
+    walk,
 )
 from chaoslab.stability import BOUNDED_SO_FAR, GROWING
 
@@ -533,6 +536,62 @@ def test_lyapunov_validation(diag_pair):
         lyapunov_mc(diag_pair, samples=0)
     with pytest.raises(InvalidInputError):
         lyapunov_mc(diag_pair, horizon=0)
+
+
+def _lyapunov_by_walk(system, samples, horizon, seed):
+    """The per-sample loop: one walk per sample, draws in sample order."""
+    rng = np.random.default_rng(seed)
+    rates = np.empty(samples)
+    for i in range(samples):
+        draws = rng.integers(1, system.alphabet_size + 1, size=horizon)
+        *_, prod = walk(system.generators, draws)
+        rates[i] = prod.log_op_norm / horizon
+    stderr = float(np.std(rates, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return float(np.mean(rates)), stderr
+
+
+@pytest.mark.parametrize("samples", [1, 2, 40])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_lyapunov_equals_the_per_sample_walk(shear06, samples, seed):
+    rng = np.random.default_rng(seed)
+    systems = (shear06, shear_block_system(0.6, 0.6),
+               MatrixSystem([1e200 * random_invertible(rng, 3) for _ in range(3)]))
+    for system in systems:
+        est = lyapunov_mc(system, samples=samples, horizon=60, seed=seed)
+        assert (est.value, est.stderr) == _lyapunov_by_walk(system, samples, 60, seed)
+
+
+@pytest.mark.parametrize("block, samples, horizon", [(250, 5, 100), (50, 3, 100)])
+def test_lyapunov_blocks_leave_the_bits_unchanged(shear06, monkeypatch, block, samples, horizon):
+    # Two rows per block with a remainder, then a horizon longer than a block.
+    monkeypatch.setattr("chaoslab.stability._MC_BLOCK_SYMBOLS", block)
+    est = lyapunov_mc(shear06, samples=samples, horizon=horizon, seed=9)
+    assert (est.value, est.stderr) == _lyapunov_by_walk(shear06, samples, horizon, 9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(gen_seed=st.integers(0, 10**6), seed=st.integers(0, 2**32 - 1),
+       dim=st.integers(1, 4), k=st.integers(1, 3),
+       samples=st.integers(1, 12), horizon=st.integers(1, 60))
+def test_lyapunov_matches_plain_numpy_replay(gen_seed, seed, dim, k, samples, horizon):
+    # The benchmark oracle's replay: the same draws, normalized by the plain
+    # largest |entry| at every step, the norm read by numpy.
+    gens = np.stack([random_invertible(np.random.default_rng(gen_seed + i), dim)
+                     for i in range(k)])
+    est = lyapunov_mc(MatrixSystem(list(gens)), samples=samples, horizon=horizon, seed=seed)
+    rng = np.random.default_rng(seed)
+    draws = np.stack([rng.integers(1, k + 1, size=horizon) for _ in range(samples)])
+    p = np.broadcast_to(np.eye(dim), (samples, dim, dim)).copy()
+    logs = np.zeros(samples)
+    for t in range(horizon):
+        p = gens[draws[:, t] - 1] @ p
+        f = np.abs(p).max(axis=(1, 2))
+        p /= f[:, None, None]
+        logs += np.log(f)
+    rates = (logs + np.log(np.linalg.norm(p, 2, axis=(1, 2)))) / horizon
+    stderr = float(np.std(rates, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    assert est.value == pytest.approx(float(np.mean(rates)), rel=1e-9, abs=1e-9)
+    assert est.stderr == pytest.approx(stderr, rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", [-1, 2.5, True, None, "3"])

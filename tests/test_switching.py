@@ -16,6 +16,7 @@ from chaoslab import (
     InvalidInputError,
     MatrixSystem,
     PeriodicLaw,
+    SwitchingLaw,
     Word,
     doubling_law,
     law_from_spec,
@@ -242,6 +243,22 @@ def test_constructed_law_reads_past_its_schedule_without_building_the_super_bloc
     assert symbol_peak < 1e6
     assert seq == [1] * 10**6 + [2] * 10**6
     assert sequence_peak < 1.5 * sys.getsizeof(seq)
+
+
+@pytest.mark.parametrize("law, head", [
+    (PeriodicLaw(Word((1, 2, 2), 2)), [1, 2, 2]),
+    (ExplicitLaw(Word((1, 2, 2), 2), fallback=1), [1, 2, 2, 1]),
+])
+def test_sequence_overrides_build_their_list_once(law, head):
+    tracemalloc.start()
+    try:
+        seq = law.sequence(2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sys.getsizeof(seq)
+    assert seq[:len(head)] == head
+    assert seq == SwitchingLaw.sequence(law, 2 * 10**6)
 
 
 # ---------------------------------------------------------------------------
