@@ -446,19 +446,21 @@ def simulate(system: MatrixSystem, law: SwitchingLaw, x0, horizon: int) -> Traje
         u = x / mag
         log_mag = math.log(mag)
         gens = system.generators
+        # sqrt(v . v) is np.linalg.norm's own computation for a real vector,
+        # without its call overhead; each unit is divided straight into its
+        # row, and the memoryview yields the symbols as Python ints, no list.
         with np.errstate(over="ignore", invalid="ignore"):
-            for idx in range(horizon):
-                u = gens[syms[idx] - 1] @ u
-                step = float(np.linalg.norm(u))
+            for idx, sym in enumerate(memoryview(syms)):
+                v = gens[sym - 1] @ u
+                step = math.sqrt(v.dot(v))
                 if not 0.0 < step < math.inf:
                     # The squares under the norm overflowed or underflowed.
-                    peak = float(np.max(np.abs(u)))
-                    u = u / peak
+                    peak = float(np.max(np.abs(v)))
+                    v = v / peak
                     log_mag += math.log(peak)
-                    step = float(np.linalg.norm(u))
-                u = u / step
+                    step = math.sqrt(v.dot(v))
+                u = np.divide(v, step, out=units[idx])
                 log_mag += math.log(step)
-                units[idx] = u
                 logs[idx] = log_mag
     return Trajectory(x0=x, symbols=syms, units=units, log_magnitudes=logs,
                       zero_input=zero_input)

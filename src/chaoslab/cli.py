@@ -139,19 +139,24 @@ def cmd_simulate(args, system, law, parameters):
     if traj.zero_input:
         summary = {"zero_input": True}
     else:
+        # With horizon 0 the orbit's only state is x0.
+        seen = logs10 if traj.horizon else [math.log(np.linalg.norm(x0)) / math.log(10.0)]
         summary = {
             "zero_input": False,
-            "final_log10_magnitude": float(logs10[-1]) if traj.horizon else 0.0,
-            "min_log10_magnitude": float(np.min(logs10)) if traj.horizon else 0.0,
-            "max_log10_magnitude": float(np.max(logs10)) if traj.horizon else 0.0,
+            "final_log10_magnitude": float(seen[-1]),
+            "min_log10_magnitude": float(np.min(seen)),
+            "max_log10_magnitude": float(np.max(seen)),
         }
     if args.csv:
         header = ["n", "symbol", "log10_magnitude"] + [
             f"u{i}" for i in range(1, system.dim + 1)
         ]
+        # Python floats format as csv's shortest round-trip decimals, the same
+        # bytes numpy's scalars give, in less time.  Rows convert one at a
+        # time, so the orbit is never held as Python objects.
         rows = (
-            [n + 1, int(traj.symbols[n]), logs10[n], *traj.units[n]]
-            for n in range(traj.horizon)
+            [n + 1, sym, float(logs10[n]), *traj.units[n].tolist()]
+            for n, sym in enumerate(memoryview(traj.symbols))
         )
         specfiles.write_csv(args.csv, header, rows)
     if traj.zero_input:

@@ -175,7 +175,14 @@ class LogScaledMatrix:
     def left_multiply(self, a: np.ndarray) -> "LogScaledMatrix":
         """Return the log-scaled product ``a @ self``."""
         raw = a @ self.unit
-        peak = float(np.abs(raw).max())
+        if len(raw) == 2:
+            # Python floats read a 2x2 peak in half numpy's time.  max skips a
+            # NaN past the first entry, so only an all-finite product (finite
+            # sum) takes this read; anything else falls to numpy's below.
+            vals = raw.ravel().tolist()
+            peak = max(map(abs, vals)) if math.isfinite(sum(vals)) else float(np.abs(raw).max())
+        else:
+            peak = float(np.abs(raw).max())
         if _BAND_LO <= peak <= _BAND_HI:
             return self._trusted(raw, self.log_scale)
         if not 0.0 < peak < math.inf:

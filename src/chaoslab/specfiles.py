@@ -151,8 +151,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
     def body(fh):
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
     _atomic_write(path, body)
 

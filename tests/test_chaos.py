@@ -465,6 +465,52 @@ def test_simulate_survives_norm_overflow_and_underflow(scale):
     assert np.allclose(np.linalg.norm(traj.units, axis=1), 1.0)
 
 
+def _simulate_oracle(gens, symbols, x):
+    """The reference per-step loop: np.linalg.norm, then u / step, with the
+    peak rescale when the squares under the norm leave float range.
+    Returns (units, log_magnitudes, number of rescaled steps)."""
+    units = np.zeros((len(symbols), len(x)))
+    logs = np.full(len(symbols), -math.inf)
+    mag = float(np.linalg.norm(x))
+    if mag == 0.0:
+        return units, logs, 0
+    u, log_mag, rescaled = x / mag, math.log(mag), 0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for idx, sym in enumerate(symbols):
+            u = gens[sym - 1] @ u
+            step = float(np.linalg.norm(u))
+            if not 0.0 < step < math.inf:
+                peak = float(np.max(np.abs(u)))
+                u = u / peak
+                log_mag += math.log(peak)
+                step = float(np.linalg.norm(u))
+                rescaled += 1
+            u = u / step
+            log_mag += math.log(step)
+            units[idx] = u
+            logs[idx] = log_mag
+    return units, logs, rescaled
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_simulate_is_the_reference_loop_bit_for_bit(dim, scale):
+    from chaoslab import ExplicitLaw
+    from conftest import random_invertible
+
+    rng = np.random.default_rng(dim)
+    system = MatrixSystem([scale * random_invertible(rng, dim), random_invertible(rng, dim)])
+    law = ExplicitLaw(Word(tuple(rng.integers(1, 3, size=400).tolist()), 2))
+    for x0 in (rng.standard_normal(dim), np.zeros(dim)):
+        with np.errstate(over="ignore", under="ignore"):
+            traj = simulate(system, law, x0, 400)
+        units, logs, rescaled = _simulate_oracle(system.generators, law.sequence(400), x0)
+        assert traj.units.tobytes() == units.tobytes()
+        assert np.array_equal(traj.log_magnitudes, logs)
+        # Only the scaled generator sends the squares out of float range.
+        assert (rescaled > 0) == (scale != 1.0 and x0.any())
+
+
 def test_simulated_crossings_transfer_to_difference_orbits():
     """At a certified crossing time the matrix norms bound every pair of
     orbits, so differences dip below 1/k and rise above k as scheduled."""

@@ -1,8 +1,11 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoslab import (
     InvalidInputError,
@@ -303,6 +306,113 @@ def test_left_multiply_refuses_zero_and_non_finite_products():
         state.left_multiply(NanAfterFiniteEntries())
     with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="must be finite"):
         state.left_multiply(np.array([[1.5e308, 1.5e308], [1.0, 1.0]]))
+
+
+def _left_multiply_oracle(state, a):
+    """The reference rule on numpy's peak read: (unit, log_scale) of a @ state."""
+    raw = a @ state.unit
+    peak = float(np.abs(raw).max())
+    if 0.5 <= peak <= 2.0:
+        return raw, state.log_scale
+    if not 0.0 < peak < math.inf:
+        raise InvalidInputError("product collapsed to the zero matrix" if peak == 0.0
+                                else "matrix entries must be finite")
+    e = math.frexp(peak)[1]
+    return np.ldexp(raw, -e), state.log_scale + e * math.log(2.0)
+
+
+def _assert_left_multiply_is_oracle(state, a):
+    try:
+        unit, log_scale = _left_multiply_oracle(state, a)
+    except InvalidInputError as exc:
+        with pytest.raises(InvalidInputError, match=f"^{exc}$"):
+            state.left_multiply(a)
+        return None
+    prod = state.left_multiply(a)
+    assert prod.unit.tobytes() == unit.tobytes()
+    assert prod.log_scale == log_scale
+    return prod
+
+
+class _Product:
+    """Stands in for a generator whose product with any unit is ``raw``."""
+
+    def __init__(self, raw):
+        self.raw = np.array(raw, dtype=float)
+
+    def __matmul__(self, unit):
+        return self.raw.copy()
+
+
+@pytest.mark.parametrize("pos", range(4))
+def test_left_multiply_refuses_a_nan_at_each_position_of_a_2x2_product(pos):
+    # The other entries sit in the band, so only the NaN can refuse it.
+    vals = [1.0, -1.5, 0.75, 2.0]
+    vals[pos] = math.nan
+    with pytest.raises(InvalidInputError, match="^matrix entries must be finite$"):
+        LogScaledMatrix.identity(2).left_multiply(_Product(np.reshape(vals, (2, 2))))
+
+
+@pytest.mark.parametrize("row, col", itertools.product(range(2), range(2)))
+def test_left_multiply_refuses_finite_inputs_that_overflow_into_inf_minus_inf(row, col):
+    # Entry (row, col) is 1.5e308 * 1.5 - 1.5e308 * 1.5: inf - inf, or an
+    # infinity where a fused multiply-add keeps one product exact.  The
+    # other entry of that row stays finite.
+    unit = np.ones((2, 2))
+    unit[:, col] = 1.5
+    unit[:, 1 - col] = [1.0, 0.5]
+    a = np.array([[1.0, 0.0], [1.0, 0.0]])
+    a[row] = [1.5e308, -1.5e308]
+    state = LogScaledMatrix(unit, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInputError, match="^matrix entries must be finite$"):
+            state.left_multiply(a)
+
+
+@pytest.mark.parametrize("raw, log2_scale", [
+    ([[0.5, 0.25], [-0.125, 0.0]], 0),
+    ([[2.0, -1.0], [0.5, 1.0]], 0),
+    ([[-0.5, 0.25], [0.1, 0.2]], 0),
+    ([[-2.0, 1.0], [0.5, 1.0]], 0),
+    ([[0.1, -2.0], [0.5, 1.0]], 0),
+    ([[1.0, 0.5], [0.25, -2.0]], 0),
+    ([[-3.0, 1.0], [1.0, 1.0]], 2),
+    ([[0.1, 0.2], [-0.25, 0.1]], -1),
+    ([[math.nextafter(2.0, 3.0), 0.0], [0.0, 1.0]], 2),
+    ([[0.0, 0.0], [0.0, -math.nextafter(0.5, 0.0)]], -1),
+])
+def test_left_multiply_band_edges_and_negative_peaks(raw, log2_scale):
+    # A product whose largest |entry| is exactly 0.5 or 2.0 stays as it is,
+    # a negative entry counts by its magnitude, and a peak just outside the
+    # band is rescaled by an exact power of two.
+    prod = _assert_left_multiply_is_oracle(LogScaledMatrix.identity(2), _Product(raw))
+    assert prod.log_scale == log2_scale * math.log(2.0)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_walk_products_are_the_numpy_peak_rule_bit_for_bit(dim):
+    rng = np.random.default_rng(30 + dim)
+    gens = [s * random_invertible(rng, dim) for s in (0.3, 1.0, 3.0, 1e-200, 1e200)]
+    symbols = rng.integers(1, 6, size=400).tolist()
+    state = LogScaledMatrix.identity(dim)
+    for sym, prod in zip(symbols, walk(gens, symbols)):
+        state = _assert_left_multiply_is_oracle(state, gens[sym - 1])
+        assert prod.unit.tobytes() == state.unit.tobytes()
+        assert prod.log_scale == state.log_scale
+
+
+_FLOAT_BITS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FLOAT_BITS, min_size=4, max_size=4),
+       st.sampled_from([1.0, 1e-160, 1e160]))
+def test_2x2_left_multiply_is_the_numpy_peak_rule(entries, spread):
+    # Arbitrary float64 bit patterns, NaN and infinities included, against
+    # a unit that keeps the products near, below or above the band.
+    state = LogScaledMatrix.from_matrix(spread * np.array([[1.5, 0.5], [-1.5, 0.5]]))
+    with np.errstate(all="ignore"):
+        _assert_left_multiply_is_oracle(state, np.reshape(entries, (2, 2)))
 
 
 def test_log_scaled_co_norm_of_singular_product():

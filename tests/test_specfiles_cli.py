@@ -2,10 +2,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import struct
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaoslab import (
     InvalidInputError,
@@ -169,6 +174,32 @@ def test_write_csv(tmp_path):
     assert rows == [["n", "v"], ["1", "0.5"], ["2", "0.25"]]
 
 
+# Zeros, subnormals, infinities, NaN, the largest float and both sides of
+# the 1e16 and 1e-4 switches between positional and exponent notation.
+_CSV_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf,
+              math.nan, 1.7976931348623157e308, 1e16, math.nextafter(1e16, 0.0),
+              1e-4, math.nextafter(1e-4, 0.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@example(values=_CSV_EDGES)
+@given(values=st.lists(st.integers(0, 2**64 - 1).map(
+    lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]), min_size=1, max_size=40))
+def test_write_csv_writes_numpy_and_python_floats_alike(values):
+    # Both write the shortest decimal that parses back to the same float64.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        bodies = []
+        for row in ([np.float64(v) for v in values], values):
+            write_csv(path, ["v"] * len(values), [row])
+            with open(path, "rb") as fh:
+                bodies.append(fh.read())
+    assert bodies[0] == bodies[1]
+    fields = bodies[1].decode().splitlines()[1].split(",")
+    assert [struct.pack("<d", float(f)) for f in fields if f != "nan"] == [
+        struct.pack("<d", v) for v in values if not math.isnan(v)]
+
+
 def test_build_report_is_deterministic():
     a = build_report("jsr", {"gap": 0.01}, {"lower": 1.0}, system_digest="ab")
     b = build_report("jsr", {"gap": 0.01}, {"lower": 1.0}, system_digest="ab")
@@ -206,6 +237,24 @@ def test_cli_analyze_and_simulate(diag_file, tmp_path, capsys):
     assert len(rows) == 11
     # first step of the constructed law halves the state
     assert float(rows[1][2]) == pytest.approx(math.log10(0.5), abs=1e-12)
+
+
+def test_cli_simulate_horizon_zero_reports_the_start_magnitude(diag_file, tmp_path, capsys):
+    # The orbit's only state is x0 = (3, 4), of magnitude 5.
+    law_path, report, csv_path = (str(tmp_path / name) for name in ("law.json", "r.json", "t.csv"))
+    save_law(doubling_law(), law_path)
+    rc = main(["simulate", "--system", diag_file, "--law", law_path, "--x0", "3,4",
+               "--horizon", "0", "--json", report, "--csv", csv_path])
+    assert rc == 0
+    assert "log10 |x| final 0.6990, min 0.6990, max 0.6990" in capsys.readouterr().out
+    summary = json.load(open(report))["results"]["summary"]
+    assert summary == {"zero_input": False,
+                       "final_log10_magnitude": math.log(5.0) / math.log(10.0),
+                       "min_log10_magnitude": math.log(5.0) / math.log(10.0),
+                       "max_log10_magnitude": math.log(5.0) / math.log(10.0)}
+    assert summary["final_log10_magnitude"] == pytest.approx(math.log10(5.0), abs=1e-15)
+    with open(csv_path, newline="") as fh:
+        assert list(csv.reader(fh)) == [["n", "symbol", "log10_magnitude", "u1", "u2"]]
 
 
 def test_cli_construct_refusal_exit_code(shear_file, capsys):
