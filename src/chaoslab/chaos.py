@@ -398,7 +398,7 @@ def recheck_certificate(system: MatrixSystem, cert: ChaosCertificate) -> bool:
     return True
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """A simulated orbit stored as unit directions plus log magnitudes.
 

@@ -209,7 +209,7 @@ def cmd_stability(args, system, law, parameters):
         "checked_up_to": verdict.checked_up_to,
         "stable_up_to": verdict.stable_up_to,
         "worst_word": worst,
-        "worst_radius": verdict.worst_radius,
+        "worst_radius": None if worst is None else verdict.worst_radius,
         "truncated": verdict.truncated,
     }
 

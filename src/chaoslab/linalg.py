@@ -129,7 +129,7 @@ def spectral_radius(a) -> float:
     return _spectral_radius(as_matrix(a))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogScaledMatrix:
     """A matrix stored as ``exp(log_scale) * unit``, max |entry| of unit in [0.5, 2].
 
@@ -144,6 +144,8 @@ class LogScaledMatrix:
 
     def __post_init__(self):
         unit = as_matrix(self.unit)
+        _require(lambda u: _BAND_LO <= np.abs(u).max() <= _BAND_HI, unit,
+                 "the unit's largest |entry| must lie in [0.5, 2]")
         log_scale = float(_require(math.isfinite, self.log_scale, "log_scale must be finite"))
         unit.setflags(write=False)
         object.__setattr__(self, "unit", unit)

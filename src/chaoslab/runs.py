@@ -92,7 +92,7 @@ def run_evidence(law: SwitchingLaw, horizon: int, max_run: int) -> RunEvidence:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class DecayReport:
     """Log op-norms of the running product along one law, with a decay verdict.
 

@@ -194,7 +194,10 @@ def classify_periodic(system: MatrixSystem, word: Word) -> PeriodicVerdict:
 
 @dataclass
 class JsrBracket:
-    """Certified two-sided bracket lower <= jsr <= upper.
+    """Two-sided bracket lower <= jsr <= upper, in floating point.
+
+    Not yet certified: ``upper`` is read from rounded norms and roots and is
+    not rounded outward, so it may sit a few ulps below the exact bound.
 
     ``lower_witness`` is a primitive word (no proper power) whose normalized
     spectral radius equals ``lower``.  ``converged`` records whether the
@@ -308,7 +311,7 @@ def jsr_bracket(
 # growth curves
 
 
-@dataclass
+@dataclass(eq=False)
 class GrowthCurve:
     """Exact per-length maxima of ||S_w|| with the words attaining them.
 
@@ -431,7 +434,7 @@ def shear_pair(alpha: float, beta: float, scale: float = 1.0) -> MatrixSystem:
 # irreducibility and invariant subspaces
 
 
-@dataclass
+@dataclass(eq=False)
 class IrreducibilityReport:
     """Dimension of the algebra generated by the system inside d x d
     matrices; the system is irreducible exactly when that dimension is the
@@ -456,8 +459,15 @@ def irreducibility(system: MatrixSystem) -> IrreducibilityReport:
     Matrices are flattened and orthonormalized; a product enters the basis
     only if its residual after projection exceeds a fixed tolerance relative
     to its size.  Closure needs at most d squared insertions, so the loop
-    always terminates.
+    always terminates.  A generator's scale does not change the algebra, so
+    each one whose largest |entry| leaves [0.5, 2] is first brought into that
+    band by an exact power of two, LogScaledMatrix's rule; the norms below
+    then neither overflow nor underflow at entries like 1e200 or 1e-200.
     """
+    gens = []
+    for g in system.generators:
+        peak = float(np.abs(g).max())
+        gens.append(g if 0.5 <= peak <= 2.0 else np.ldexp(g, -math.frexp(peak)[1]))
     d = system.dim
     basis_vecs: list[np.ndarray] = []
     basis_mats: list[np.ndarray] = []
@@ -481,7 +491,7 @@ def irreducibility(system: MatrixSystem) -> IrreducibilityReport:
     try_add(queue[0])
     while queue:
         current = queue.pop(0)
-        for g in system.generators:
+        for g in gens:
             product = g @ current
             product = product / np.linalg.norm(product)
             if try_add(product):
@@ -500,7 +510,7 @@ def irreducibility(system: MatrixSystem) -> IrreducibilityReport:
 # unboundedness probe
 
 
-@dataclass
+@dataclass(eq=False)
 class RestrictionProbe:
     """Growth verdict for the system restricted to one invariant subspace.
 
@@ -515,7 +525,7 @@ class RestrictionProbe:
     verdict: str
 
 
-@dataclass
+@dataclass(eq=False)
 class ProbeReport:
     """Unboundedness evidence on the full space and every proper invariant
     subspace found from coordinate-axis algebra orbits."""

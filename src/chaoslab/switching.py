@@ -22,6 +22,20 @@ from .errors import InvalidInputError, _require, require_int
 DEFAULT_METRIC_PRECISION = 53
 
 
+def _label(value, size: int) -> int:
+    """``value`` as an int: an integer-valued number in 1..size, not a bool.
+
+    Every symbol a word, law or system takes is checked here.  Words are
+    checked symbol by symbol, so the message is formatted only on failure.
+    """
+    try:
+        if not isinstance(value, bool) and int(value) == value and 1 <= value <= size:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInputError(f"symbols are integers in 1..{size}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Word:
     """A finite word of 1-based symbols over the alphabet 1..alphabet_size."""
@@ -32,14 +46,7 @@ class Word:
     def __post_init__(self):
         size = require_int(self.alphabet_size, 1, "alphabet size must be an integer of at least 1")
         object.__setattr__(self, "alphabet_size", size)
-        message = f"word symbols must be integers in 1..{self.alphabet_size}"
-        syms = tuple(require_int(s, 1, message) for s in self.symbols)
-        object.__setattr__(self, "symbols", syms)
-        for s in syms:
-            if s > self.alphabet_size:
-                raise InvalidInputError(
-                    f"symbol {s} outside alphabet 1..{self.alphabet_size}"
-                )
+        object.__setattr__(self, "symbols", tuple(_label(s, size) for s in self.symbols))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -109,10 +116,6 @@ class PeriodicLaw(SwitchingLaw):
     def alphabet_size(self) -> int:
         return self._word.alphabet_size
 
-    @property
-    def word(self) -> Word:
-        return self._word
-
     def _segments(self):
         yield self._word.symbols, math.inf
 
@@ -140,24 +143,12 @@ class ExplicitLaw(SwitchingLaw):
             if len(prefix) == 0:
                 raise InvalidInputError("an empty prefix needs an explicit fallback")
             fallback = prefix[-1]
-        message = f"fallback {fallback!r} outside alphabet 1..{prefix.alphabet_size}"
-        fallback = require_int(fallback, 1, message)
-        if fallback > prefix.alphabet_size:
-            raise InvalidInputError(message)
         self._prefix = prefix
-        self._fallback = fallback
+        self._fallback = _label(fallback, prefix.alphabet_size)
 
     @property
     def alphabet_size(self) -> int:
         return self._prefix.alphabet_size
-
-    @property
-    def prefix(self) -> Word:
-        return self._prefix
-
-    @property
-    def fallback(self) -> int:
-        return self._fallback
 
     def _segments(self):
         if len(self._prefix) > 0:
@@ -191,10 +182,8 @@ class BlockLaw(SwitchingLaw):
                                     "alphabet size must be an integer of at least 1")
         clean = []
         for sym, length in blocks:
-            message = (f"invalid block ({sym!r}, {length!r}): "
-                       f"symbols lie in 1..{alphabet_size} and lengths are at least 1")
-            sym = _require(lambda v: int(v) == v and 1 <= v <= alphabet_size, sym, message)
-            clean.append((int(sym), require_int(length, 1, message)))
+            clean.append((_label(sym, alphabet_size),
+                          require_int(length, 1, f"block lengths are at least 1, got {length!r}")))
         if not clean:
             raise InvalidInputError("a block law needs at least one block")
         self._blocks = tuple(clean)
@@ -300,22 +289,6 @@ class ConstructedLaw(SwitchingLaw):
     def alphabet_size(self) -> int:
         return self._prefix.alphabet_size
 
-    @property
-    def prefix(self) -> Word:
-        return self._prefix
-
-    @property
-    def i_word(self) -> Word:
-        return self._i
-
-    @property
-    def j_word(self) -> Word:
-        return self._j
-
-    @property
-    def schedule(self) -> tuple[tuple[int, int], ...]:
-        return self._schedule
-
     def spec_dict(self) -> dict:
         return {
             "type": "constructed",
@@ -345,7 +318,8 @@ def law_metric(a: SwitchingLaw, b: SwitchingLaw, precision: int = DEFAULT_METRIC
 
 
 def law_to_spec(law: SwitchingLaw) -> dict:
-    """JSON-ready dictionary describing ``law``; inverse of law_from_spec."""
+    """JSON-ready dictionary describing ``law``; inverse of law_from_spec.
+    This is how a law's fields are read: laws expose no field accessors."""
     return law.spec_dict()
 
 
@@ -358,14 +332,11 @@ def law_from_spec(spec: dict) -> SwitchingLaw:
     _require(lambda v: isinstance(v, int) and v >= 1, alphabet,
              "law spec field 'alphabet' must be a positive integer")
 
-    def word_field(name: str, allow_empty: bool) -> Word:
+    def word_field(name: str) -> Word:
+        # A file's symbols are JSON integers; Word checks their range.
         raw = spec.get(name)
-        _require(lambda v: isinstance(v, list), raw, f"law spec field '{name}' must be a list")
-        if not allow_empty:
-            _require(lambda v: len(v) > 0, raw, f"law spec field '{name}' must be nonempty")
-        for s in raw:
-            _require(lambda v: isinstance(v, int) and 1 <= v <= alphabet, s,
-                     f"law spec field '{name}' has symbol {s!r} outside 1..{alphabet}")
+        _require(lambda v: isinstance(v, list) and all(type(s) is int for s in v), raw,
+                 f"law spec field '{name}' must be a list of integers")
         return Word(tuple(raw), alphabet)
 
     def pairs_field(name: str, shape: str) -> list:
@@ -380,17 +351,17 @@ def law_from_spec(spec: dict) -> SwitchingLaw:
     # The law constructors reject non-integer and bool numbers in the fields
     # checked here only for shape: fallback, block entries and exponents.
     if kind == "periodic":
-        return PeriodicLaw(word_field("word", allow_empty=False))
+        return PeriodicLaw(word_field("word"))
     if kind == "explicit":
-        return ExplicitLaw(word_field("prefix", allow_empty=True), spec.get("fallback"))
+        return ExplicitLaw(word_field("prefix"), spec.get("fallback"))
     if kind == "blocks":
         return BlockLaw(pairs_field("blocks", "[symbol, length]"), alphabet)
     if kind == "doubling":
         _require(lambda v: v == 2, alphabet, "doubling laws use alphabet 2")
         return doubling_law()
     if kind == "constructed":
-        prefix = word_field("prefix", allow_empty=True)
-        i_word = word_field("i", allow_empty=False)
-        j_word = word_field("j", allow_empty=False)
+        prefix = word_field("prefix")
+        i_word = word_field("i")
+        j_word = word_field("j")
         return ConstructedLaw(prefix, i_word, j_word, pairs_field("schedule", "[l, L]"))
     raise InvalidInputError(f"unknown law type {kind!r}")

@@ -429,8 +429,10 @@ def test_log_scaled_co_norm_of_singular_product():
     (np.eye(2), -math.inf),
     (np.eye(2), True),
     (np.eye(2), "0"),
+    (np.zeros((2, 2)), 0.0),
+    ([[4.0, 0.0], [0.0, 1.0]], 0.0),
 ], ids=["nan-unit", "inf-unit", "non-square", "empty", "nan-scale", "inf-scale", "bool-scale",
-        "str-scale"])
+        "str-scale", "zero-unit", "unit-above-band"])
 def test_log_scaled_constructor_rejects_bad_parts(unit, log_scale):
     with pytest.raises(InvalidInputError):
         LogScaledMatrix(unit=np.array(unit, dtype=float), log_scale=log_scale)

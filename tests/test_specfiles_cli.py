@@ -129,6 +129,21 @@ def test_load_law_error_names_file(tmp_path):
     assert "law.json" in str(err.value)
 
 
+@pytest.mark.parametrize("spec", [
+    {"type": "periodic", "alphabet": 2, "word": []},
+    {"type": "constructed", "alphabet": 2, "prefix": [], "i": [], "j": [2],
+     "schedule": [[1, 1]]},
+    {"type": "constructed", "alphabet": 2, "prefix": [], "i": [1], "j": [],
+     "schedule": [[1, 1]]},
+], ids=["empty-word", "empty-i", "empty-j"])
+def test_load_law_refuses_empty_words(spec, tmp_path):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(InvalidInputError) as err:
+        load_law(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -141,6 +156,8 @@ def test_load_law_error_names_file(tmp_path):
          "schedule": [[1, True]]},  # bool exponent
         {"type": "explicit", "alphabet": 2, "prefix": [1], "fallback": True},
         {"type": "explicit", "alphabet": 2, "prefix": [1], "fallback": 1.5},
+        {"type": "periodic", "alphabet": 2, "word": [1.0]},
+        {"type": "explicit", "alphabet": 2, "prefix": [1, 1.0]},
     ],
 )
 def test_law_file_rejects_non_integer_numbers(spec, diag_file, tmp_path, capsys):
@@ -303,6 +320,33 @@ def test_cli_stability(shear_file, capsys):
 def test_cli_stability_truncation_exit_code(shear_file, capsys):
     rc = main(["stability", "--system", shear_file, "--max-len", "10", "--budget", "5"])
     assert rc == 3
+
+
+def test_cli_stability_zero_budget_report_is_strict_json(shear_file, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(["stability", "--system", shear_file, "--budget", "0",
+                 "--json", str(report)]) == 3
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    results = json.loads(report.read_text(), parse_constant=refuse)["results"]
+    assert results["worst_word"] is None and results["worst_radius"] is None
+
+
+def test_cli_growth_probe_finds_no_subspace_at_large_scale(tmp_path, capsys):
+    # {1e200 U, L} is irreducible, as {U, L} is.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 2, "matrices": {
+        "1": [[1e200, 1e200], [0.0, 1e200]], "2": [[1.0, 0.0], [1.0, 1.0]]}}))
+    report = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["growth", "--system", str(path), "--nmax", "3", "--probe",
+                   "--json", str(report)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(report.read_text())["results"]["restrictions"] == []
 
 
 def test_cli_growth_with_probe(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from chaoslab import (
     polynomial_growth_exponent,
     product_unbounded_probe,
     shear_pair,
+    simulate,
     walk,
 )
 from chaoslab.stability import BOUNDED_SO_FAR, GROWING
@@ -474,6 +476,37 @@ def test_irreducibility_distinct_diagonal():
     report = irreducibility(system)
     assert report.verdict == "reducible"
     assert report.algebra_dim == 2
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+@pytest.mark.parametrize("other, verdict, algebra_dim", [
+    (np.array([[1.0, 0.0], [1.0, 1.0]]), "irreducible", 4),
+    (np.diag([1.0, 2.0]), "reducible", 3),
+], ids=["lower-shear", "diagonal"])
+def test_irreducibility_does_not_depend_on_generator_scale(scale, other, verdict, algebra_dim):
+    # Entries past about 1e154 or below 1e-154 overflow or underflow the
+    # squares in a Frobenius norm; the algebra is the same at every scale.
+    system = MatrixSystem([scale * np.array([[1.0, 1.0], [0.0, 1.0]]), other])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = irreducibility(system)
+    assert (report.verdict, report.algebra_dim) == (verdict, algebra_dim)
+
+
+def test_records_holding_arrays_compare_by_identity(single_shear):
+    # Two runs give equal-valued records; comparing them must not ask an
+    # array for its truth value, and each record hashes.
+    def records():
+        probe = product_unbounded_probe(single_shear, n_max=6)
+        return (LogScaledMatrix.identity(2),
+                simulate(single_shear, PeriodicLaw(Word((1,), 1)), [1.0, 0.0], 5),
+                growth_curve(single_shear, n_max=4),
+                decay_check(single_shear, PeriodicLaw(Word((1,), 1)), 8),
+                irreducibility(single_shear), probe, probe.restrictions[0])
+
+    for first, second in zip(records(), records()):
+        assert first != second and first == first
+        assert len({first, second}) == 2
 
 
 def test_probe_single_shear(single_shear):

@@ -87,6 +87,31 @@ def test_word_stores_alphabet_size_as_int():
     assert law_from_spec(spec).sequence(3) == [2, 2, 2]
 
 
+# Everything that takes a symbol over the alphabet {1, 2}, returning the
+# label it stored.
+LABELED = MatrixSystem([np.eye(2), 2.0 * np.eye(2)])
+LABEL_TAKERS = {
+    "word": lambda v: Word((v,), 2).symbols[0],
+    "fallback": lambda v: ExplicitLaw(Word((), 2), fallback=v).symbol(1),
+    "block": lambda v: BlockLaw([(v, 1)], 2).symbol(1),
+    "generator": lambda v: int(LABELED.generator(v)[0, 0]),
+}
+
+
+@pytest.mark.parametrize("take", LABEL_TAKERS.values(), ids=LABEL_TAKERS.keys())
+@pytest.mark.parametrize("value, label", [(1, 1), (2, 2), (2.0, 2), (np.int64(2), 2)])
+def test_one_label_rule_accepts_integer_valued_symbols(take, value, label):
+    stored = take(value)
+    assert stored == label and type(stored) is int
+
+
+@pytest.mark.parametrize("take", LABEL_TAKERS.values(), ids=LABEL_TAKERS.keys())
+@pytest.mark.parametrize("value", [0, 3, 1.5, True, "1", None, math.nan])
+def test_one_label_rule_refuses_other_symbols(take, value):
+    with pytest.raises(InvalidInputError):
+        take(value)
+
+
 # ---------------------------------------------------------------------------
 # law classes
 
