@@ -7,8 +7,10 @@ Run from the root of a source checkout, like ``test_walk_layers.py``.  The
 groups follow the layers: the engines (a full ``word_tree`` walk at depth 12
 and the Lyndon sweep ``necklace_log_radii`` at length 14, both on the shear
 pair); the analyses on them (``periodic_stability``, ``growth_curve``,
-``product_unbounded_probe`` and ``jsr_bracket``); and the switching laws,
-each built by ``law_from_spec`` and read for 3e4 symbols.
+``product_unbounded_probe`` and ``jsr_bracket``, the latter also on the
+Hare-Morris-Sidorov-Theys pair and on a K = 3, d = 4 Gaussian system at
+tight gaps); and the switching laws, each built by ``law_from_spec`` and
+read for 3e4 symbols.
 """
 
 import numpy as np
@@ -26,6 +28,12 @@ SCALED = shear_pair(0.6, 0.6, 1.0 / RHO_SHEAR)
 # The 4x4 generators [[F, F], [0, F]] over the scaled pair's F: reducible,
 # with an invariant plane on which products stay bounded.
 BLOCK = MatrixSystem([np.block([[f, f], [np.zeros((2, 2)), f]]) for f in SCALED.generators])
+
+# Hare, Morris, Sidorov and Theys (Adv. Math. 2011): no periodic word
+# attains this pair's joint spectral radius, so no gap closes.
+HMST = MatrixSystem([np.array([[1.0, 1.0], [0.0, 1.0]]),
+                     0.7493265463303675 * np.array([[1.0, 0.0], [1.0, 1.0]])])
+GAUSS = MatrixSystem(list(np.random.default_rng(5).standard_normal((3, 4, 4))))
 
 LAWS = {
     "constructed": {"type": "constructed", "alphabet": 2, "prefix": [2, 2, 1], "i": [1],
@@ -65,6 +73,14 @@ def test_product_unbounded_probe(benchmark):
 @pytest.mark.benchmark(group="analyses")
 def test_jsr_bracket(benchmark):
     bracket = benchmark(jsr_bracket, SHEAR, budget=2000, target_gap=1e-3)
+    assert bracket.lower <= bracket.upper
+
+
+@pytest.mark.benchmark(group="analyses")
+@pytest.mark.parametrize("system, budget, gap", [(HMST, 4000, 1e-9), (GAUSS, 2000, 1e-6)],
+                         ids=["hmst", "gauss"])
+def test_jsr_bracket_tight(benchmark, system, budget, gap):
+    bracket = benchmark(jsr_bracket, system, budget=budget, target_gap=gap)
     assert bracket.lower <= bracket.upper
 
 

@@ -198,6 +198,8 @@ def cmd_stability(args, system, law, parameters):
             f"stable up to length {verdict.checked_up_to} "
             f"(worst {verdict.worst_radius:.9f} at word {worst})"
         )
+    elif worst is None:  # the budget covered no length, so the sweep is truncated
+        print("not certified stable: checked nothing [truncated]")
     else:
         print(
             f"not certified stable: stable up to {verdict.stable_up_to}, "

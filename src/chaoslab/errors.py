@@ -2,6 +2,11 @@
 
 import math
 
+import numpy as np
+
+# Python's and numpy's booleans: numpy's is no subclass of Python's.
+_BOOLS = (bool, np.bool_)
+
 
 class InvalidInputError(ValueError):
     """Raised when an argument fails a documented precondition."""
@@ -21,10 +26,11 @@ class NonConvergenceError(RuntimeError):
 
 
 def _require(test, value, message: str):
-    """``value`` when it is not a bool and ``test(value)`` holds; otherwise
-    (a failed or unanswerable test) raises InvalidInputError(message)."""
+    """``value`` when it is not a bool (Python's or numpy's) and
+    ``test(value)`` holds; otherwise (a failed or unanswerable test) raises
+    InvalidInputError(message)."""
     try:
-        ok = not isinstance(value, bool) and bool(test(value))
+        ok = not isinstance(value, _BOOLS) and bool(test(value))
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:

@@ -7,6 +7,7 @@ yields a truncated result with a flag, never a silent partial answer.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -202,21 +203,16 @@ class JsrBracket:
     ``lower_witness`` is a primitive word (no proper power) whose normalized
     spectral radius equals ``lower``.  ``converged`` records whether the
     search closed the bracket to the requested relative gap before the node
-    budget ran out.
+    budget ran out.  ``depth_reached`` is the longest word whose radius was
+    read.
     """
 
     lower: float
     upper: float
-    lower_witness: Word | None
+    lower_witness: Word
     nodes: int
     depth_reached: int
     converged: bool
-    target_gap: float
-    budget: int
-
-    @property
-    def gap(self) -> float:
-        return self.upper - self.lower
 
 
 def _is_proper_power(symbols: tuple[int, ...]) -> bool:
@@ -230,17 +226,20 @@ def jsr_bracket(
     budget: int = DEFAULT_JSR_BUDGET,
     target_gap: float = DEFAULT_JSR_GAP,
 ) -> JsrBracket:
-    """Branch-and-bound bracket of the joint spectral radius.
+    """Best-first branch-and-bound bracket of the joint spectral radius.
 
-    Explores the word tree keeping, for each word w, the quantity
-    m(w) = min over prefixes p of ||S_p||^(1/|p|), an upper bound on the
-    normalized radius of every extension of w.  A branch is pruned once
-    m(w) <= lower * (1 + target_gap), because no extension can then raise
-    the lower bound past the target.  The returned upper bound is the
-    largest of lower * (1 + target_gap) and the m-values still open when
-    the budget expired, clamped by the one-step norm bound.
+    Every word w carries m(w) = min over its prefixes p of ||S_p||^(1/|p|),
+    an upper bound on the normalized radius of every extension of w.  Open
+    words wait in one max-heap on m, so the word popped last has the largest
+    open m.  The larger of that m and the target lower * (1 + target_gap) is
+    the upper bound, and the search has converged once that m no longer
+    exceeds the target (Gripenberg, LAA 1996).  A popped word's spectral
+    radius is read once; while the budget lasts its children are formed and
+    pushed.  The upper bound is clamped by the one-step norm bound.
 
-    ``budget`` counts matrix products formed.  The gap is relative, so the
+    ``budget`` counts matrix products formed.  A word is stored as its
+    parent's index and last symbol, so memory is linear in the products
+    formed, about 0.3 KB each at d = 2.  The gap is relative, so the
     bracket commutes with scaling the generators.
     """
     budget = require_int(
@@ -249,61 +248,48 @@ def jsr_bracket(
     target_gap = require_positive(target_gap, "target_gap must be a positive finite number")
     gens = system.generators
     k = system.alphabet_size
-    one_step = max(op_norm(g) for g in gens)
-    lower = 0.0
-    witness: Word | None = None
-    nodes = 0
-    depth = 0
-    # Stack entries: (word symbols, log-scaled product, m-value).  Products
-    # deep in the tree overflow or underflow a plain float64 representation,
-    # so they are carried with a separate log scale.  Children are pushed in
-    # ascending m order so the most promising branch pops first.
-    stack: list[tuple[tuple[int, ...], LogScaledMatrix, float]] = []
-
-    def push_children(symbols: tuple[int, ...], prod: LogScaledMatrix, m: float):
-        nonlocal nodes
-        children = []
-        for sym in range(1, k + 1):
-            child = prod.left_multiply(gens[sym - 1])
-            nodes += 1
-            child_m = min(m, math.exp(child.log_op_norm / (len(symbols) + 1)))
-            children.append((symbols + (sym,), child, child_m))
-        children.sort(key=lambda item: (item[2], -item[0][-1]))
-        stack.extend(children)
-
-    push_children((), LogScaledMatrix.identity(system.dim), math.inf)
-    while stack:
-        symbols, prod, m = stack.pop()
-        depth = max(depth, len(symbols))
-        rho = math.exp(prod.log_spectral_radius / len(symbols))
-        # A proper power u^m has u's normalized radius, which was read when u
-        # popped, so it can win only by rounding.
-        if (rho > lower or (
-            rho == lower
-            and witness is not None
-            and (len(symbols), symbols) < (len(witness), witness.symbols)
-        )) and not _is_proper_power(symbols):
-            lower = rho
-            witness = Word(symbols, alphabet_size=k)
-        if m <= lower * (1.0 + target_gap):
-            continue
-        if nodes + k > budget:
-            stack.append((symbols, prod, m))
-            break
-        push_children(symbols, prod, m)
-    # The stack is empty unless the budget ran out; then it is the frontier.
-    raw_upper = max([lower * (1.0 + target_gap)] + [entry[2] for entry in stack])
-    upper = max(lower, min(raw_upper, one_step))
-    converged = upper <= lower * (1.0 + target_gap) * (1.0 + 1e-15)
+    lower, witness = 0.0, ()
+    nodes = depth = 0
+    # Word i is word parents[i] followed by symbol last[i]; -1 is the empty
+    # word.  Heap entries are (-m(w), w, |w|, S_w); products deep in the tree
+    # overflow or underflow a plain float64, so they carry a log scale.
+    parents: list[int] = []
+    last: list[int] = []
+    heap: list[tuple[float, int, int, LogScaledMatrix]] = []
+    # The last word popped, the empty word at first.
+    m, index, n, prod = math.inf, -1, 0, LogScaledMatrix.identity(system.dim)
+    while m > lower * (1.0 + target_gap) and nodes + k <= budget:
+        for sym, g in enumerate(gens, 1):
+            child = prod.left_multiply(g)
+            parents.append(index)
+            last.append(sym)
+            heapq.heappush(heap, (-min(m, math.exp(child.log_op_norm / (n + 1))),
+                                  len(last) - 1, n + 1, child))
+        nodes += k
+        neg_m, index, n, prod = heapq.heappop(heap)
+        m = -neg_m
+        depth = max(depth, n)
+        rho = math.exp(prod.log_spectral_radius / n)
+        if rho >= lower:
+            symbols, i = [], index
+            while i >= 0:
+                symbols.append(last[i])
+                i = parents[i]
+            symbols = tuple(reversed(symbols))
+            # A proper power u^m has u's normalized radius, which was read
+            # when u popped, so it can win only by rounding.
+            if ((rho > lower or (n, symbols) < (len(witness), witness))
+                    and not _is_proper_power(symbols)):
+                lower, witness = rho, symbols
+    # Every open word's m is at most the last popped word's.
+    upper = max(lower, min(max(lower * (1.0 + target_gap), m), max(op_norm(g) for g in gens)))
     return JsrBracket(
         lower=lower,
         upper=upper,
-        lower_witness=witness,
+        lower_witness=Word(witness, alphabet_size=k),
         nodes=nodes,
         depth_reached=depth,
-        converged=converged,
-        target_gap=target_gap,
-        budget=budget,
+        converged=upper <= lower * (1.0 + target_gap) * (1.0 + 1e-15),
     )
 
 
@@ -460,14 +446,11 @@ def irreducibility(system: MatrixSystem) -> IrreducibilityReport:
     only if its residual after projection exceeds a fixed tolerance relative
     to its size.  Closure needs at most d squared insertions, so the loop
     always terminates.  A generator's scale does not change the algebra, so
-    each one whose largest |entry| leaves [0.5, 2] is first brought into that
-    band by an exact power of two, LogScaledMatrix's rule; the norms below
-    then neither overflow nor underflow at entries like 1e200 or 1e-200.
+    each one is first brought into LogScaledMatrix's band by its rule; the
+    norms below then neither overflow nor underflow at entries like 1e200 or
+    1e-200.
     """
-    gens = []
-    for g in system.generators:
-        peak = float(np.abs(g).max())
-        gens.append(g if 0.5 <= peak <= 2.0 else np.ldexp(g, -math.frexp(peak)[1]))
+    gens = [LogScaledMatrix.from_matrix(g).unit for g in system.generators]
     d = system.dim
     basis_vecs: list[np.ndarray] = []
     basis_mats: list[np.ndarray] = []
@@ -492,6 +475,8 @@ def irreducibility(system: MatrixSystem) -> IrreducibilityReport:
     while queue:
         current = queue.pop(0)
         for g in gens:
+            # Each product is Frobenius-normalized at once: this closes an
+            # algebra under multiplication, it carries no running product.
             product = g @ current
             product = product / np.linalg.norm(product)
             if try_add(product):

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, _require, require_int
+from .errors import _BOOLS, InvalidInputError, _require, require_int
 
 # Truncation depth for the law metric; 2**-53 is below double resolution
 # relative to the leading term, so longer tails cannot change comparisons.
@@ -23,13 +23,14 @@ DEFAULT_METRIC_PRECISION = 53
 
 
 def _label(value, size: int) -> int:
-    """``value`` as an int: an integer-valued number in 1..size, not a bool.
+    """``value`` as an int: an integer-valued number in 1..size, not a bool
+    (Python's or numpy's).
 
     Every symbol a word, law or system takes is checked here.  Words are
     checked symbol by symbol, so the message is formatted only on failure.
     """
     try:
-        if not isinstance(value, bool) and int(value) == value and 1 <= value <= size:
+        if not isinstance(value, _BOOLS) and int(value) == value and 1 <= value <= size:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -332,6 +332,7 @@ def test_cli_stability_zero_budget_report_is_strict_json(shear_file, tmp_path, c
 
     results = json.loads(report.read_text(), parse_constant=refuse)["results"]
     assert results["worst_word"] is None and results["worst_radius"] is None
+    assert capsys.readouterr().out == "not certified stable: checked nothing [truncated]\n"
 
 
 def test_cli_growth_probe_finds_no_subspace_at_large_scale(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -274,6 +275,20 @@ def test_jsr_scaling_equivariance():
     assert b.lower_witness.symbols == a.lower_witness.symbols
 
 
+def normalized_radius(gens, word):
+    """rho(S_w)^(1/|w|) by numpy products and eigvals."""
+    prod = np.eye(len(gens[0]))
+    for sym in word:
+        prod = gens[sym - 1] @ prod
+    return float(np.abs(np.linalg.eigvals(prod)).max()) ** (1.0 / len(word))
+
+
+def normalized_radii(gens, max_len):
+    """{word: its normalized radius} over every word up to max_len."""
+    return {word: normalized_radius(gens, word) for n in range(1, max_len + 1)
+            for word in itertools.product(range(1, len(gens) + 1), repeat=n)}
+
+
 def test_jsr_bracket_soundness_random():
     """lower <= upper, lower >= every generator radius, upper <= max norm."""
     from chaoslab import op_norm, spectral_radius
@@ -289,10 +304,25 @@ def test_jsr_bracket_soundness_random():
         assert bracket.upper <= max(op_norm(g) for g in gens) * (1.0 + 1e-12)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_jsr_bracket_holds_every_short_word(seed):
+    """upper is at least every normalized radius up to length 6, and lower is
+    its witness's.  A converged search may leave a word within the gap
+    unread, so lower need not reach every generator's radius."""
+    rng = np.random.default_rng(seed)
+    gens = [random_invertible(rng, 2) for _ in range(2)]
+    bracket = jsr_bracket(MatrixSystem(gens), budget=4000, target_gap=0.05)
+    assert bracket.lower == pytest.approx(
+        normalized_radius(gens, bracket.lower_witness.symbols), rel=1e-9)
+    assert bracket.upper * (1.0 + 1e-12) >= max(normalized_radii(gens, 6).values())
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_jsr_witness_is_no_proper_power(seed):
     # w is a proper power exactly when it occurs inside (ww) minus its ends.
-    system = MatrixSystem(list(np.random.default_rng(seed).standard_normal((2, 2, 2))))
+    gens = list(np.random.default_rng(seed).standard_normal((2, 2, 2)))
+    system = MatrixSystem(gens)
     bracket = jsr_bracket(system, budget=2000, target_gap=1e-6)
     w = bracket.lower_witness.symbols
     assert not any((w + w)[i:i + len(w)] == w for i in range(1, len(w)))
@@ -300,6 +330,36 @@ def test_jsr_witness_is_no_proper_power(seed):
     assert bracket.lower == radius
     if seed == 0:
         assert w == (2,)
+    # Best first, no word of length <= 2 above the target gap goes unread,
+    # as it could in a depth-first dive.
+    assert bracket.lower >= max(normalized_radii(gens, 2).values()) * (1.0 - 1e-12)
+
+
+# Hare, Morris, Sidorov and Theys (Adv. Math. 2011): a pair whose joint
+# spectral radius no periodic word attains; its Sturmian words of slope
+# 21/13 reach 1.40924722...
+HMST = MatrixSystem([np.array([[1.0, 1.0], [0.0, 1.0]]),
+                     0.7493265463303675 * np.array([[1.0, 0.0], [1.0, 1.0]])])
+
+
+def test_jsr_hmst_pair_lower_bound():
+    bracket = jsr_bracket(HMST, budget=100, target_gap=1e-9)
+    w = bracket.lower_witness.symbols
+    assert bracket.lower >= 1.40924722
+    assert bracket.lower == pytest.approx(normalized_radius(HMST.generators, w), rel=1e-9)
+    assert bracket.lower <= bracket.upper <= 1.4129
+    assert bracket.nodes == 100 and not bracket.converged
+
+
+def test_jsr_memory_is_linear_in_nodes():
+    tracemalloc.start()
+    try:
+        bracket = jsr_bracket(HMST, budget=4000, target_gap=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bracket.nodes == 4000
+    assert peak < 4 * 2**20
 
 
 def test_jsr_validation(shear06):

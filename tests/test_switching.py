@@ -24,6 +24,7 @@ from chaoslab import (
     law_to_spec,
     necklace_log_radii,
 )
+from chaoslab.errors import require_int
 
 from conftest import lyndon_count
 
@@ -106,10 +107,16 @@ def test_one_label_rule_accepts_integer_valued_symbols(take, value, label):
 
 
 @pytest.mark.parametrize("take", LABEL_TAKERS.values(), ids=LABEL_TAKERS.keys())
-@pytest.mark.parametrize("value", [0, 3, 1.5, True, "1", None, math.nan])
+@pytest.mark.parametrize("value", [0, 3, 1.5, True, np.True_, "1", None, math.nan])
 def test_one_label_rule_refuses_other_symbols(take, value):
     with pytest.raises(InvalidInputError):
         take(value)
+
+
+@pytest.mark.parametrize("value", [True, np.True_])
+def test_require_int_refuses_bools(value):
+    with pytest.raises(InvalidInputError):
+        require_int(value, 0, "x")
 
 
 # ---------------------------------------------------------------------------
