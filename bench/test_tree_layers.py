@@ -7,10 +7,12 @@ Run from the root of a source checkout, like ``test_walk_layers.py``.  The
 groups follow the layers: the engines (a full ``word_tree`` walk at depth 12
 and the Lyndon sweep ``necklace_log_radii`` at length 14, both on the shear
 pair); the analyses on them (``periodic_stability``, ``growth_curve``,
-``product_unbounded_probe`` and ``jsr_bracket``, the latter also on the
-Hare-Morris-Sidorov-Theys pair and on a K = 3, d = 4 Gaussian system at
-tight gaps); and the switching laws, each built by ``law_from_spec`` and
-read for 3e4 symbols.
+``product_unbounded_probe`` and ``jsr_bracket``; the sweep also on a K = 3,
+d = 4 Gaussian system at length 8, the growth curve also on the 4x4 shear
+block at length 12, and ``jsr_bracket`` also on the
+Hare-Morris-Sidorov-Theys pair and on the Gaussian system at tight gaps);
+and the switching laws, each built by ``law_from_spec`` and read for 3e4
+symbols.
 """
 
 import numpy as np
@@ -61,8 +63,18 @@ def test_periodic_stability(benchmark):
 
 
 @pytest.mark.benchmark(group="analyses")
+def test_periodic_stability_gauss(benchmark):
+    assert benchmark(periodic_stability, GAUSS, 8).checked_up_to == 8
+
+
+@pytest.mark.benchmark(group="analyses")
 def test_growth_curve(benchmark):
     assert benchmark(growth_curve, SCALED, n_max=16).n_max == 16
+
+
+@pytest.mark.benchmark(group="analyses")
+def test_growth_curve_block(benchmark):
+    assert benchmark(growth_curve, BLOCK, n_max=12).n_max == 12
 
 
 @pytest.mark.benchmark(group="analyses")

@@ -62,18 +62,24 @@ def _singular_extremes(a: np.ndarray) -> tuple[float, float]:
         return v, v
     if d == 2:
         (a00, a01), (a10, a11) = a.tolist()
-        g11 = a00 * a00 + a10 * a10
-        g22 = a01 * a01 + a11 * a11
-        t = g11 + g22
+        t, smax, det = _closed_sigma(a00, a01, a10, a11, math.sqrt)
         if _CLOSED_LO <= t <= _CLOSED_HI:
-            g12 = a00 * a01 + a10 * a11
-            diff = g11 - g22
-            disc = math.sqrt(diff * diff + 4.0 * g12 * g12)
-            smax = math.sqrt((t + disc) / 2.0)
-            det = a00 * a11 - a01 * a10
-            return smax, min(abs(det) / smax, smax)
+            return smax, min(det / smax, smax)
     s = np.linalg.svd(a, compute_uv=False)
     return float(s[0]), float(s[-1])
+
+
+def _closed_sigma(a00, a01, a10, a11, sqrt):
+    """(Gram trace t, sigma_max, |det|) of [[a00, a01], [a10, a11]] by the
+    closed form, on floats or elementwise on arrays in one operation order;
+    exact only while t lies in the band."""
+    g11 = a00 * a00 + a10 * a10
+    g22 = a01 * a01 + a11 * a11
+    t = g11 + g22
+    g12 = a00 * a01 + a10 * a11
+    diff = g11 - g22
+    disc = sqrt(diff * diff + 4.0 * g12 * g12)
+    return t, sqrt((t + disc) / 2.0), abs(a00 * a11 - a01 * a10)
 
 
 def op_norm(a) -> float:
@@ -224,6 +230,51 @@ class LogScaledMatrix:
         return math.exp(self.log_scale) * self.unit
 
 
+def _logs(scales, values) -> np.ndarray:
+    """scale + math.log(value) per row (numpy's log may differ by an ulp)."""
+    return np.array([s + math.log(v) if v > 0.0 else -math.inf
+                     for s, v in zip(scales.tolist(), values.tolist())])
+
+
+def stacked_log_op_norms(units, scales) -> np.ndarray:
+    """``LogScaledMatrix.log_op_norm`` of every row of an (N, d, d) unit stack
+    with a log scale per row, bit for bit: ``_closed_sigma`` elementwise at
+    d = 2, one stacked SVD, per row the SVD a single read takes, for the rows
+    outside its band and every row at d >= 3."""
+    n, d = units.shape[:2]
+    top, lapack = np.abs(units[:, 0, 0]), np.full(n, d > 2)
+    if d == 2:
+        with np.errstate(all="ignore"):
+            t, top, _ = _closed_sigma(*units.reshape(n, 4).T, np.sqrt)
+        lapack = ~((_CLOSED_LO <= t) & (t <= _CLOSED_HI))
+    if lapack.any():
+        top[lapack] = np.linalg.svd(units[lapack], compute_uv=False)[:, 0]
+    return _logs(scales, top)
+
+
+def stacked_log_radii(units, scales) -> np.ndarray:
+    """``LogScaledMatrix.log_spectral_radius`` of every row of an (N, d, d)
+    unit stack with a log scale per row, bit for bit: ``_spectral_radius``'
+    closed forms elementwise at d = 2, one stacked eigensolve for the rest."""
+    n, d = units.shape[:2]
+    rho, lapack = np.abs(units[:, 0, 0]), np.full(n, d > 2)
+    if d == 2:
+        a00, a01, a10, a11 = units.reshape(n, 4).T
+        with np.errstate(all="ignore"):
+            tr = a00 + a11
+            det = a00 * a11 - a01 * a10
+            disc = tr * tr - 4.0 * det
+            rho = np.where(disc >= 0.0, (np.abs(tr) + np.sqrt(disc)) / 2.0, np.sqrt(det))
+            band = tr * tr + np.abs(det)
+        lapack = ~((_CLOSED_LO <= band) & (band <= _CLOSED_HI))
+    if lapack.any():
+        try:
+            rho[lapack] = np.abs(np.linalg.eigvals(units[lapack])).max(axis=1)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError(f"eigensolver failed: {exc}") from exc
+    return _logs(scales, rho)
+
+
 def walk(generators, symbols, start: LogScaledMatrix | None = None):
     """Yield the running product S_{s_n} ... S_{s_1} start after each symbol.
 
@@ -237,35 +288,38 @@ def walk(generators, symbols, start: LogScaledMatrix | None = None):
         yield prod
 
 
+def _stacked_step(generators, gens, index, units, scales, words):
+    """Left-multiply row i of an (N, d, d) unit stack by gens[index[i]] and
+    rescale each row by ``left_multiply``'s rule, so each is bit for bit what
+    it forms.  A row that collapses or overflows replays the rows' symbols
+    ``words`` through ``walk``, which raises for the first that fails."""
+    units = np.take(gens, index, axis=0) @ units
+    peaks = np.abs(units).max(axis=(1, 2))
+    if not (peaks.min(initial=math.inf) > 0.0 and peaks.max(initial=0.0) < math.inf):
+        for row in words:
+            for _ in walk(generators, row):
+                pass
+    e = np.frexp(peaks)[1]
+    # A row inside the band gets e = 0: ldexp by 0 and adding 0.0 to its
+    # scale leave both bit for bit as they were.
+    e[(_BAND_LO <= peaks) & (peaks <= _BAND_HI)] = 0
+    return np.ldexp(units, -e[:, None, None]), scales + e * math.log(2.0)
+
+
 def walk_rows(generators, draws) -> list[LogScaledMatrix]:
     """Final products S_{s_n} ... S_{s_1} of the rows of an (N, n) symbol array.
 
     The N running products are carried together on one (N, d, d) unit stack
-    with a log scale per row, one step per column.  Each row follows
-    ``left_multiply``'s rule on its own: only at the steps where its own
-    largest |entry| leaves the band is it rescaled by an exact power of two,
-    so every product is bit for bit the last one ``walk`` yields on that row,
-    and a row that collapses or overflows raises what ``walk`` raises on the
-    first failing row.
+    with a log scale per row, one ``_stacked_step`` per column, so every
+    product is bit for bit the last one ``walk`` yields on that row, and a row
+    that collapses or overflows raises what ``walk`` raises on the first
+    failing row.
     """
     gens = np.stack(generators)
     units = np.broadcast_to(np.eye(gens.shape[1]), (len(draws), *gens.shape[1:])).copy()
     scales = np.zeros(len(draws))
     for column in np.transpose(draws) - 1:
-        units = np.take(gens, column, axis=0) @ units
-        peaks = np.abs(units).max(axis=(1, 2))
-        if not (peaks.min(initial=math.inf) > 0.0 and peaks.max(initial=0.0) < math.inf):
-            # Replaying the rows in order through walk raises left_multiply's
-            # own error for the first row that fails, as the unbatched walk does.
-            for row in draws:
-                for _ in walk(generators, row):
-                    pass
-        e = np.frexp(peaks)[1]
-        # A row inside the band gets e = 0: ldexp by 0 and adding 0.0 to its
-        # scale leave both bit for bit as they were.
-        e[(_BAND_LO <= peaks) & (peaks <= _BAND_HI)] = 0
-        units = np.ldexp(units, -e[:, None, None])
-        scales += e * math.log(2.0)
+        units, scales = _stacked_step(generators, gens, column, units, scales, draws)
     return [LogScaledMatrix._trusted(unit, float(scale)) for unit, scale in zip(units, scales)]
 
 
@@ -279,7 +333,8 @@ def word_tree(generators, depth: int, children=None):
     handled a word shorter than ``depth``, the walk extends it by the
     ascending symbols ``children(symbols, product)`` returns, every symbol
     when ``children`` is None; other extensions are never multiplied.
-    Every lexicographic word-tree search in the package runs on this walk.
+    This is the per-word walk: ``find_witness`` runs on it, while the Lyndon
+    sweep and growth curves run on the stacked ``word_chunks``.
     """
     if depth < 1:
         return
@@ -300,3 +355,45 @@ def word_tree(generators, depth: int, children=None):
                     break
         else:
             frames.pop()
+
+
+# Rows per chunk of ``word_chunks``.
+_CHUNK_ROWS = 2**12
+
+
+def word_chunks(generators, depth: int, children):
+    """Yield (words, units, scales, tags): the words of length 1..depth in chunks.
+
+    A chunk is at most ``_CHUNK_ROWS`` words of one length n in lexicographic
+    order, as an (N, n) symbol array, an (N, d, d) unit stack with a log scale
+    per row, and an integer tag per row.  One ``_stacked_step`` forms it from
+    its parents, bit for bit ``word_tree``'s products.  Chunks come depth first
+    from one stack, so each length comes in lexicographic order and every word
+    less than a chunk's first word came before it.  Per length the stack
+    holds one parent chunk and row indices, so memory is
+    O(depth * _CHUNK_ROWS * (d^2 + depth + K)) however wide a level is.
+
+    The root's children are every symbol, tagged 0.  Once the consumer has
+    handled a chunk shorter than ``depth``, ``children(words, tags)`` gives its
+    children's tags, broadcast to (N, K) with column s - 1 for symbol s; a
+    negative tag forms no child.
+    """
+    gens = np.stack(generators)
+    k = len(gens)
+    words, units, scales = np.zeros((1, 0), dtype=np.int64), np.eye(gens.shape[1])[None], np.zeros(1)
+    below = np.full((1, k), 0 if depth > 0 else -1)
+    stack = []  # chunks not yet formed: parents' chunk, their rows, symbols - 1, tags
+    while True:
+        rows, index = np.nonzero(below >= 0)
+        for lo in reversed(range(0, len(rows), _CHUNK_ROWS)):
+            part = slice(lo, lo + _CHUNK_ROWS)
+            stack.append((words, units, scales, rows[part], index[part],
+                          below[rows[part], index[part]]))
+        if not stack:
+            return
+        words, units, scales, rows, index, tags = stack.pop()
+        words = np.concatenate((words[rows], index[:, None] + 1), axis=1)
+        units, scales = _stacked_step(generators, gens, index, units[rows], scales[rows], words)
+        yield words, units, scales, tags
+        below = np.broadcast_to(-1 if words.shape[1] == depth else children(words, tags),
+                                (len(words), k))

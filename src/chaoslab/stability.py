@@ -7,6 +7,7 @@ yields a truncated result with a flag, never a silent partial answer.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -16,7 +17,8 @@ import numpy as np
 from .chaos import MatrixSystem
 from .errors import (BudgetExceededError, InvalidInputError, require_fraction, require_int,
                      require_positive)
-from .linalg import LogScaledMatrix, op_norm, walk_rows, word_tree
+from .linalg import (LogScaledMatrix, op_norm, stacked_log_op_norms, stacked_log_radii, walk_rows,
+                     word_chunks)
 from .switching import Word
 
 DEFAULT_STABILITY_TOL = 1e-9
@@ -35,6 +37,10 @@ EXPANDING_OR_NEUTRAL = "nonchaotic-expanding-or-neutral"
 _GROWTH_RISE = math.log(1.25)
 # Mean per-step log drift beyond which a curve is flagged geometric.
 _GEOMETRIC_DRIFT = 0.35
+# growth_curve prunes a word only when its bound at every longer length falls
+# short of the best by more than this, relative to the bound (at least 1): a
+# product's computed log norm may pass its parent's bound by rounding.
+_PRUNE_SLACK = 1e-12
 # lyapunov_mc walks its samples in blocks of at most this many drawn symbols
 # (one row when the horizon is longer), so memory does not grow with samples.
 _MC_BLOCK_SYMBOLS = 2**16
@@ -101,24 +107,31 @@ def necklace_log_radii(system: MatrixSystem, max_len: int):
     Lyndon words, the aperiodic necklaces, are the least words of their
     rotation classes; a necklace w^m shares w's value, so only w is yielded.
     They come in word-tree (Python tuple) order, each before its extensions.
-    One walk from the identity forms a product for prenecklaces only, once
+    One ``word_chunks`` expansion forms a product for prenecklaces only, once
     each and equal to ``MatrixSystem.word_product`` bit for bit.  By
-    Fredricksen-Kessler-Maiorana a prenecklace of length n and period p (its
-    longest Lyndon prefix) extends to prenecklaces by exactly the symbols at
-    least the one p places back; a child keeps p when it repeats that symbol
-    and otherwise is Lyndon, of period n + 1.
+    Fredricksen-Kessler-Maiorana a prenecklace w of length n and period p
+    (its longest Lyndon prefix) extends to prenecklaces by exactly the
+    symbols at least w[n - p]; a child keeps p when it repeats that symbol
+    and otherwise is Lyndon, of period n + 1.  A row's tag is n - p, 0 for
+    Lyndon rows.  Words wait, sorted, until a chunk's first word passes them.
     """
     max_len = require_int(max_len, 1, "max_len must be a positive integer")
-    k = system.alphabet_size
-    periods = [0] * (max_len + 1)  # periods[n]: FKM period of the current word of length n
-    for symbols, prod in word_tree(system.generators, max_len,
-                                   lambda symbols, prod: range(symbols[n - period], k + 1)):
-        n = len(symbols)
-        period = periods[n - 1]
-        if n == 1 or symbols[-1] != symbols[-1 - period]:
-            period = n
-            yield symbols, prod.log_spectral_radius / n
-        periods[n] = period
+    symbols = np.arange(1, system.alphabet_size + 1)
+
+    def fkm(words, refs):
+        ref = words[np.arange(len(words)), refs][:, None]
+        return np.where(symbols > ref, 0, np.where(symbols == ref, refs[:, None] + 1, -1))
+
+    pending: list[tuple[tuple[int, ...], float]] = []
+    for words, units, scales, refs in word_chunks(system.generators, max_len, fkm):
+        ready = bisect.bisect_left(pending, (tuple(words[0].tolist()),))
+        yield from pending[:ready]
+        del pending[:ready]
+        lyndon = refs == 0
+        log_radii = stacked_log_radii(units[lyndon], scales[lyndon]) / words.shape[1]
+        pending += zip(map(tuple, words[lyndon].tolist()), log_radii.tolist())
+        pending.sort()
+    yield from pending
 
 
 def _necklace_count(k: int, n: int) -> int:
@@ -235,7 +248,8 @@ def jsr_bracket(
     the upper bound, and the search has converged once that m no longer
     exceeds the target (Gripenberg, LAA 1996).  A popped word's spectral
     radius is read once; while the budget lasts its children are formed and
-    pushed.  The upper bound is clamped by the one-step norm bound.
+    pushed.  The upper bound is clamped by the one-step norm bound, and the
+    generators' own radii seed the lower bound.
 
     ``budget`` counts matrix products formed.  A word is stored as its
     parent's index and last symbol, so memory is linear in the products
@@ -261,6 +275,13 @@ def jsr_bracket(
     while m > lower * (1.0 + target_gap) and nodes + k <= budget:
         for sym, g in enumerate(gens, 1):
             child = prod.left_multiply(g)
+            if n == 0:
+                # Best first may stop before a word whose radius lies inside
+                # the gap pops, so the generators' radii seed lower, read as
+                # a popped word's radius is.
+                rho = math.exp(child.log_spectral_radius)
+                if rho > lower:
+                    lower, witness = rho, (sym,)
             parents.append(index)
             last.append(sym)
             heapq.heappush(heap, (-min(m, math.exp(child.log_op_norm / (n + 1))),
@@ -301,10 +322,11 @@ def jsr_bracket(
 class GrowthCurve:
     """Exact per-length maxima of ||S_w|| with the words attaining them.
 
-    ``log_max_norms[n - 1]`` is the largest computed log ||S_w|| over |w| = n
-    and ``argmax_words[n - 1]`` is the lexicographically first word whose
-    computed log norm equals it.  Words whose exact norms tie are told apart
-    by rounding, so any of them may be reported.
+    ``log_max_norms[n - 1]`` is the largest computed log ||S_w|| over every
+    word of length n, as the products ``word_tree`` forms would read, and
+    ``argmax_words[n - 1]`` is the lexicographically first word whose computed
+    log norm equals it.  Words whose exact norms tie are told apart by
+    rounding, so any of them may be reported.
     """
 
     log_max_norms: np.ndarray
@@ -353,11 +375,14 @@ def growth_curve(
 ) -> GrowthCurve:
     """Compute max over |w| = n of ||S_w|| exactly for n = 1..n_max.
 
-    Depth-first search over the word tree.  A node of depth j with norm v is
-    pruned only when v times the best possible remaining factor cannot beat
-    the current maximum at any deeper level, which never changes the exact
-    answer.  If the full tree (the pruning guarantee) exceeds ``budget``
-    products, n_max is reduced upfront and the curve flagged truncated.
+    The word tree is expanded by ``word_chunks``, after one greedy dive seeds
+    the best at every length.  A word of length j with log norm v is pruned
+    only when its bound v + (r - j) log max ||S_i|| falls short of the best
+    at every longer length r by more than ``_PRUNE_SLACK`` times
+    max(1, |bound|), so rounding never prunes a word whose computed norm
+    reaches the best.  If the full tree (the pruning guarantee) exceeds
+    ``budget`` products, n_max is reduced upfront and the curve flagged
+    truncated.
     """
     n_max = require_int(n_max, 1, "n_max must be a positive integer")
     k = system.alphabet_size
@@ -366,28 +391,33 @@ def growth_curve(
         raise BudgetExceededError("budget does not cover depth 1", spent=k, budget=budget)
     gens = system.generators
     log_one_step = math.log(max(op_norm(g) for g in gens))
-    best = [-math.inf] * (n_eff + 1)
-    argmax: list[tuple[int, ...] | None] = [None] * (n_eff + 1)
-    every = range(1, k + 1)
-    # Lexicographic depth-first order makes first strict improvements of the
-    # computed norm the smallest argmax words; children reuses the body's
-    # reachability test.
-    for symbols, prod in word_tree(gens, n_eff, lambda symbols, prod: every if reachable else ()):
-        j = len(symbols)
-        v = prod.log_op_norm
-        if v > best[j]:
-            best[j] = v
-            argmax[j] = symbols
-        reachable = False
-        bound = v
-        for r in range(j + 1, n_eff + 1):
-            bound += log_one_step
-            if bound > best[r]:
-                reachable = True
-                break
+    best = np.full(n_eff + 1, -math.inf)
+    argmax: list[tuple[int, ...]] = [()] * (n_eff + 1)
+    # The dive forms the products the chunks do, so each seed is a word's own
+    # computed norm; unseeded, the first chunks would prune nothing.
+    prod = LogScaledMatrix.identity(system.dim)
+    for j in range(1, n_eff + 1):
+        kids = [prod.left_multiply(g) for g in gens]
+        norms = [kid.log_op_norm for kid in kids]
+        sym = norms.index(max(norms))
+        prod, best[j], argmax[j] = kids[sym], norms[sym], argmax[j - 1] + (sym + 1,)
+    reachable = None
+    for words, units, scales, _ in word_chunks(
+            gens, n_eff, lambda words, tags: np.where(reachable, 0, -1)[:, None]):
+        j = words.shape[1]
+        v = stacked_log_op_norms(units, scales)
+        # Rows are lexicographic, so np.argmax is the chunk's first maximizer;
+        # ties between chunks keep the lexicographically first word.
+        i = int(np.argmax(v))
+        word = tuple(words[i].tolist())
+        if v[i] > best[j] or (v[i] == best[j] and word < argmax[j]):
+            best[j], argmax[j] = v[i], word
+        bounds = v[:, None] + log_one_step * np.arange(1, n_eff - j + 1)
+        reachable = (bounds + _PRUNE_SLACK * np.maximum(1.0, np.abs(bounds))
+                     >= best[j + 1:]).any(axis=1)
     words = tuple(Word(argmax[j], alphabet_size=k) for j in range(1, n_eff + 1))
     return GrowthCurve(
-        log_max_norms=np.array(best[1:]),
+        log_max_norms=best[1:],
         argmax_words=words,
         n_max=n_eff,
         truncated=n_eff < n_max,

@@ -19,6 +19,8 @@ from chaoslab import (
     walk_rows,
     word_tree,
 )
+from chaoslab import linalg
+from chaoslab.linalg import stacked_log_op_norms, stacked_log_radii, word_chunks
 
 from conftest import GOLDEN, random_invertible
 
@@ -633,3 +635,63 @@ def test_walk_rows_raises_what_walk_raises_on_the_first_failing_row(gens, draws,
                     pass
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             walk_rows(gens, draws)
+
+
+# ---------------------------------------------------------------------------
+# stacked word tree
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       exponents=st.lists(st.sampled_from([-200, 0, 0, 200]), min_size=1, max_size=8))
+def test_stacked_reads_are_the_single_reads_bit_for_bit(dim, seed, exponents):
+    # Rows scaled by 1e-200 or 1e200 leave the 2x2 closed forms' band and
+    # take LAPACK, beside rows that stay in it; a nilpotent row leaves the
+    # spectral radius' band alone.  Many rows per stack, half of them at
+    # scale 0, since numpy's log differs from math.log on a few values in 10^4.
+    rng = np.random.default_rng(seed)
+    units = rng.standard_normal((128, dim, dim))
+    units[:len(exponents)] *= 10.0 ** np.array(exponents, dtype=float)[:, None, None]
+    units[-1] = np.eye(dim, k=1) if dim > 1 else 0.5
+    scales = 100.0 * rng.standard_normal(len(units)) * rng.integers(0, 2, len(units))
+    ops = stacked_log_op_norms(units, scales)
+    radii = stacked_log_radii(units, scales)
+    for unit, scale, op, radius in zip(units, scales, ops, radii):
+        single = LogScaledMatrix._trusted(unit.copy(), float(scale))
+        assert _bits([op, radius]) == _bits([single.log_op_norm, single.log_spectral_radius])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("cap", [1, 4, 2**12])
+def test_word_chunks_form_word_tree_products_bit_for_bit(monkeypatch, dim, cap):
+    monkeypatch.setattr(linalg, "_CHUNK_ROWS", cap)
+    rng = np.random.default_rng(dim)
+    # Norms far from 1 force a rescaling at most steps.
+    gens = [3.0 * random_invertible(rng, dim), 0.2 * random_invertible(rng, dim),
+            random_invertible(rng, dim)]
+    symbols = np.arange(1, 4)
+    # Nondecreasing words only; a row's tag counts the children formed above it.
+    want = {w: prod for w, prod in word_tree(gens, 5, lambda w, prod: range(w[-1], 4))}
+    seen = []
+    for words, units, scales, tags in word_chunks(
+            gens, 5, lambda words, tags: np.where(symbols >= words[:, -1:], tags[:, None] + 1, -1)):
+        rows = [tuple(w) for w in words.tolist()]
+        assert 1 <= len(rows) <= cap and rows == sorted(rows)
+        assert {len(w) for w in rows} == {words.shape[1]}
+        assert tags.tolist() == [len(w) - 1 for w in rows]
+        # Every word less than the chunk's first word came before it.
+        assert {w for w in want if w < rows[0]} <= set(seen)
+        seen += rows
+        for w, unit, scale in zip(rows, units, scales):
+            assert unit.tobytes() == want[w].unit.tobytes() and scale == want[w].log_scale
+    assert sorted(seen) == sorted(want)
+
+
+def test_word_chunks_raise_what_walk_raises():
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(InvalidInputError, match="^product collapsed to the zero matrix$"):
+            list(word_chunks([_PROJ, _NILP], 3, lambda words, tags: 0))

@@ -30,7 +30,9 @@ from chaoslab import (
     shear_pair,
     simulate,
     walk,
+    word_tree,
 )
+from chaoslab import linalg
 from chaoslab.stability import BOUNDED_SO_FAR, GROWING
 
 from conftest import (RHO_SHEAR, lyndon_count, necklace_count, random_invertible,
@@ -99,15 +101,16 @@ def test_stability_zero_budget_checks_nothing(shear06):
     assert verdict.worst_word is None
 
 
-def _count_left_multiply(monkeypatch):
+def _count_stacked_rows(monkeypatch):
+    """Count the products the stacked engines form: one per row of each step."""
     calls = []
-    inner = LogScaledMatrix.left_multiply
+    inner = linalg._stacked_step
 
-    def counted(self, a):
-        calls.append(None)
-        return inner(self, a)
+    def counted(generators, gens, index, *rest):
+        calls.extend([None] * len(index))
+        return inner(generators, gens, index, *rest)
 
-    monkeypatch.setattr(LogScaledMatrix, "left_multiply", counted)
+    monkeypatch.setattr(linalg, "_stacked_step", counted)
     return calls
 
 
@@ -122,7 +125,7 @@ def _random_k3_d4():
 
 
 def test_stability_sweep_forms_each_product_once(monkeypatch, shear06):
-    calls = _count_left_multiply(monkeypatch)
+    calls = _count_stacked_rows(monkeypatch)
     assert periodic_stability(shear06, 14).checked_up_to == 14
     # one product per prenecklace; a product for every child formed 6,114
     assert len(calls) == _prenecklace_count(2, 14) == 5594
@@ -308,14 +311,28 @@ def test_jsr_bracket_soundness_random():
 @given(seed=st.integers(0, 2**32 - 1))
 def test_jsr_bracket_holds_every_short_word(seed):
     """upper is at least every normalized radius up to length 6, and lower is
-    its witness's.  A converged search may leave a word within the gap
-    unread, so lower need not reach every generator's radius."""
+    its witness's and at least each generator's.  A converged search may
+    leave a longer word within the gap unread."""
     rng = np.random.default_rng(seed)
     gens = [random_invertible(rng, 2) for _ in range(2)]
     bracket = jsr_bracket(MatrixSystem(gens), budget=4000, target_gap=0.05)
     assert bracket.lower == pytest.approx(
         normalized_radius(gens, bracket.lower_witness.symbols), rel=1e-9)
-    assert bracket.upper * (1.0 + 1e-12) >= max(normalized_radii(gens, 6).values())
+    radii = normalized_radii(gens, 6)
+    assert bracket.upper * (1.0 + 1e-12) >= max(radii.values())
+    assert bracket.lower >= max(radii[(1,)], radii[(2,)]) * (1.0 - 1e-12)
+
+
+def test_jsr_lower_bound_reaches_each_generator_radius():
+    # Best first converged here at lower 1.27409 (witness 2-1^12) before the
+    # word 1, of radius 1.31416, popped.
+    rng = np.random.default_rng(174635)
+    gens = [random_invertible(rng, 2) for _ in range(2)]
+    bracket = jsr_bracket(MatrixSystem(gens), budget=4000, target_gap=0.05)
+    assert bracket.converged
+    assert bracket.lower_witness.symbols == (1,)
+    assert bracket.lower == pytest.approx(normalized_radius(gens, (1,)), rel=1e-12)
+    assert bracket.lower == pytest.approx(1.3141616017981361, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -423,6 +440,33 @@ def test_growth_exact_tie_reports_a_true_maximizer():
     with mpmath.workdps(50):
         best = max(exact_norm(w) for w in tied)
         assert abs(exact_norm(reported) - best) <= 1e-20 * best
+
+
+def test_growth_curve_is_the_brute_force_maximum():
+    # The bench's normalized shear pair.  Every product's norm is 1 up to
+    # rounding, and a bound that rounded down pruned the true n = 13 maximum.
+    g = 0.6180339887498949
+    system = MatrixSystem([[[g, g], [0.0, g]], [[g, 0.0], [g, g]]])
+    best = {}
+    for symbols, prod in word_tree(system.generators, 16):
+        v = prod.log_op_norm
+        if v > best.get(len(symbols), (-math.inf,))[0]:
+            best[len(symbols)] = (v, symbols)
+    curve = growth_curve(system, 16)
+    assert curve.argmax_words[12].text() == "2-1-2-1-2-1-2-1-2-1-2-1-2"
+    assert curve.log_max_norms.tolist() == [best[n][0] for n in range(1, 17)]
+    assert [w.symbols for w in curve.argmax_words] == [best[n][1] for n in range(1, 17)]
+
+
+@pytest.mark.parametrize("cap", [1, 7])
+def test_chunk_cap_changes_no_result(monkeypatch, cap):
+    block = shear_block_system(0.6, 0.6, 1.0 / RHO_SHEAR)
+    want = (list(necklace_log_radii(_random_k3_d4(), 6)), growth_curve(block, 9))
+    monkeypatch.setattr(linalg, "_CHUNK_ROWS", cap)
+    got = (list(necklace_log_radii(_random_k3_d4(), 6)), growth_curve(block, 9))
+    assert got[0] == want[0]
+    assert got[1].log_max_norms.tobytes() == want[1].log_max_norms.tobytes()
+    assert got[1].argmax_words == want[1].argmax_words
 
 
 def test_growth_diag_pair_doubles(diag_pair):
